@@ -1,0 +1,67 @@
+"""Byte-for-byte goldens of ``--format json`` output.
+
+Each case runs one CLI command and compares its stdout with
+``tests/golden/<name>.json``. Between them the cases reach every renderer
+(words, compositions, partitions, tensors, polynomials and rationals), so a
+refactor of the algebra types cannot change a printed byte unnoticed.
+``@name`` in an argument stands for ``tests/golden/inputs/name``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from toricnet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+BRIDGE = "2A <-> A + B : k1, k2\nA + B <-> 2B : k3, k4"
+# complete digraph on four complexes, one symbol per edge
+K4 = "\n".join(
+    f"{s} -> {t} : k{s}{t}" for s in "ABCD" for t in "ABCD" if s != t
+)
+# one strongly connected class of nine complexes: above the enumeration cap
+NINE = (
+    "A <-> B : 1, 2\nB <-> C : 3/2, 1\nC <-> D : 2, 1/3\nD <-> E : 1, 1\n"
+    "E <-> F : 5, 2\nF <-> G : 1, 3\nG <-> H : 2/5, 1\nH <-> I : 1, 4\n"
+    "I -> A : 7\nA -> E : 1/2"
+)
+
+CASES = {
+    "crn_trees_bridge": ["crn", "trees", BRIDGE],
+    "crn_trees_k4": ["crn", "trees", K4],
+    "crn_trees_nine": ["crn", "trees", NINE],
+    "crn_toric_bridge": ["crn", "toric", "A <-> B : 1, 1\nB <-> C : 1, 1\nC <-> A : 1, 1"],
+    "qsym_product": ["qsym", "product", "--left", "1,2", "--right", "2,1"],
+    "qsym_realize": ["qsym", "realize", "--comp", "1,2", "--nvars", "3"],
+    "sym_convert_m_h": ["sym", "convert", "--element", "m:2,1,1", "--to", "h"],
+    "sym_convert_h_s": ["sym", "convert", "--element", "h:3,2,1", "--to", "s"],
+    "sym_convert_s_e": ["sym", "convert", "--element", "s:2,2,1", "--to", "e"],
+    "sym_convert_p_m": ["sym", "convert", "--element", "p:3,1", "--to", "m"],
+    "sym_pair": ["sym", "pair", "--left", "s:2,1", "--right", "p:2,1"],
+    "hopf_coproduct_bfk": ["hopf", "coproduct", "--algebra", "bfk", "--degree", "4"],
+    "hopf_coproduct_ln": ["hopf", "coproduct", "--algebra", "ln", "--degree", "4"],
+    "hopf_antipode_bfk": ["hopf", "antipode", "--algebra", "bfk", "--degree", "5"],
+    "hopf_antipode_ln": ["hopf", "antipode", "--algebra", "ln", "--degree", "4"],
+    "hopf_verify_bfk": ["hopf", "verify", "--algebra", "bfk", "--max-weight", "4"],
+    "hopf_fgl": ["hopf", "fgl", "--order", "6"],
+    "hopf_coaction": ["hopf", "coaction", "--target", "b-series", "--degree", "3"],
+    "freeprob_ncseries": ["freeprob", "ncseries", "--order", "4"],
+    "freeprob_free": ["freeprob", "free", "--moments", "1,0,1,0,2,0,5"],
+    "toric_charnum_cp2": ["toric", "charnum", "--quasitoric", "@cp2.json"],
+    "toric_charnum_prism": ["toric", "charnum", "--polytope", "@prism3.json"],
+    "toric_delzant": ["toric", "delzant", "--polytope", "@simplex2.json"],
+}
+
+
+def argv(name: str) -> list:
+    return [
+        str(GOLDEN / "inputs" / a[1:]) if a.startswith("@") else a for a in CASES[name]
+    ] + ["--format", "json"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_is_byte_identical(name, capsys):
+    assert main(argv(name)) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
