@@ -54,11 +54,8 @@ def build_rate_matrix(net: Network, bindings: dict | None = None):
             r.rate, net, bindings, symbolic
         )
     for l in range(n):
-        col = zero
-        for k in range(n):
-            if k != l:
-                col = col + a[k][l]
-        a[l][l] = -col
+        col = [a[k][l] for k in range(n) if k != l]
+        a[l][l] = -(SparsePoly.sum(col) if symbolic else sum(col, zero))
     return a
 
 

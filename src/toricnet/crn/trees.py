@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..errors import InputError, NotWeaklyReversible
 from ..exactcore import SparsePoly, ff_determinant
-from .network import _rate_entry, linkage_classes, strong_components
+from .network import _rate_entry, build_rate_matrix, linkage_classes, strong_components
 from .parser import Network
 
 ENUMERATION_CAP = 8
@@ -30,13 +30,12 @@ def _class_edges(net: Network, cls: list[int], bindings, symbolic: bool) -> dict
     return edges
 
 
-def _in_trees(nodes: list[int], edges: dict, root: int, zero, one):
-    """Sum of edge-weight products over all arborescences converging to root."""
+def _in_trees(nodes: list[int], edges: dict, root: int, one):
+    """Edge-weight products of all arborescences converging to root."""
     others = [v for v in nodes if v != root]
     out_choices = {
         v: [(t, w) for (s, t), w in edges.items() if s == v] for v in others
     }
-    total = zero
     parent: dict = {}
 
     def walk_hits(start: int, candidate: int) -> bool:
@@ -49,35 +48,18 @@ def _in_trees(nodes: list[int], edges: dict, root: int, zero, one):
         return False
 
     def rec(i: int, acc):
-        nonlocal total
         if i == len(others):
-            total = total + acc
+            yield acc
             return
         v = others[i]
         for t, w in out_choices[v]:
             if t != root and walk_hits(v, t):
                 continue
             parent[v] = t
-            rec(i + 1, acc * w)
+            yield from rec(i + 1, acc * w)
             del parent[v]
 
-    rec(0, one)
-    return total
-
-
-def _minor_tree_constant(nodes: list[int], edges: dict, root: int):
-    """K_root from a principal minor of the class Laplacian block (numeric)."""
-    pos = {v: i for i, v in enumerate(nodes)}
-    nu = len(nodes)
-    block = [[Fraction(0)] * nu for _ in range(nu)]
-    for (s, t), w in edges.items():
-        block[pos[t]][pos[s]] += w
-        block[pos[s]][pos[s]] -= w
-    i = pos[root]
-    minor = [
-        [block[r][c] for c in range(nu) if c != i] for r in range(nu) if r != i
-    ]
-    return Fraction((-1) ** (nu - 1)) * ff_determinant(minor)
+    return rec(0, one)
 
 
 def matrix_tree_cofactor(block, root: int, row: int):
@@ -111,18 +93,21 @@ def tree_constants(net: Network, bindings: dict | None = None) -> list:
                 f"linkage class {{{', '.join(net.complex_label(i) for i in cls)}}} "
                 "is not strongly connected"
             )
-        edges = _class_edges(net, cls, bindings, symbolic)
         if len(cls) > ENUMERATION_CAP:
             if symbolic:
                 raise InputError(
                     f"class of {len(cls)} complexes: symbolic tree constants "
                     f"are capped at {ENUMERATION_CAP}, pass numeric bindings"
                 )
-            for root in cls:
-                out[root] = _minor_tree_constant(cls, edges, root)
+            rates = build_rate_matrix(net, bindings)
+            block = [[rates[r][c] for c in cls] for r in cls]
+            for i, root in enumerate(cls):
+                out[root] = matrix_tree_cofactor(block, i, i)
             continue
-        zero = SparsePoly.zero() if symbolic else Fraction(0)
-        one = SparsePoly.one() if symbolic else Fraction(1)
+        edges = _class_edges(net, cls, bindings, symbolic)
         for root in cls:
-            out[root] = _in_trees(cls, edges, root, zero, one)
+            if symbolic:
+                out[root] = SparsePoly.sum(_in_trees(cls, edges, root, SparsePoly.one()))
+            else:
+                out[root] = sum(_in_trees(cls, edges, root, Fraction(1)), Fraction(0))
     return out

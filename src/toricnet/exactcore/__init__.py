@@ -15,7 +15,6 @@ from .matrices import (
     inverse_rational,
     lattice_kernel,
     mat_mul,
-    mat_vec,
     rank,
     rational_rref,
     right_kernel_rational,
@@ -41,7 +40,6 @@ __all__ = [
     "solve_rational",
     "rank",
     "mat_mul",
-    "mat_vec",
     "transpose",
     "identity",
     "inverse_rational",

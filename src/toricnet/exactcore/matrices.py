@@ -34,10 +34,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     m, k = dims(a)
     k2, n = dims(b)
@@ -104,14 +100,11 @@ def _det_cofactor(a: Matrix, cap: int = 6):
         if cols in memo:
             return memo[cols]
         r = n - len(cols)
-        acc = SparsePoly.zero()
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = det(cols[:idx] + cols[idx + 1 :])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
+        acc = SparsePoly.sum(
+            rows[r][c] * det(cols[:idx] + cols[idx + 1 :]) * (-1) ** idx
+            for idx, c in enumerate(cols)
+            if not rows[r][c].is_zero()
+        )
         memo[cols] = acc
         return acc
 

@@ -88,6 +88,18 @@ class SparsePoly:
         items = sorted((n, p) for n, p in powers.items() if p)
         return cls(tuple(n for n, _ in items), {tuple(p for _, p in items): coeff})
 
+    @classmethod
+    def sum(cls, polys: Iterable["SparsePoly"]) -> "SparsePoly":
+        """Sum in one pass: the registries are merged once, then every term is
+        added into one dict. An empty sum is zero."""
+        polys = list(polys)
+        merged = tuple(sorted({v for p in polys for v in p.vars}))
+        out: dict = {}
+        for p in polys:
+            for e, c in (p.terms if p.vars == merged else _remap(p, merged)).items():
+                out[e] = out[e] + c if e in out else c
+        return cls(merged, out)
+
     # -- alignment ------------------------------------------------------
 
     def _align(self, other: "SparsePoly"):
@@ -192,8 +204,8 @@ class SparsePoly:
 
     def substitute(self, values: Mapping[str, "SparsePoly | Scalar"]) -> "SparsePoly":
         """Substitute polynomials or scalars for (a subset of) the variables."""
-        out = SparsePoly.zero()
-        for e, c in self.terms.items():
+
+        def image(e, c):
             term = SparsePoly.const(c)
             for name, exp in zip(self.vars, e):
                 if not exp:
@@ -204,8 +216,9 @@ class SparsePoly:
                     term = term * v ** exp
                 else:
                     term = term * SparsePoly((name,), {(exp,): 1})
-            out = out + term
-        return out
+            return term
+
+        return SparsePoly.sum(image(e, c) for e, c in self.terms.items())
 
     def sorted_terms(self):
         """Terms in a deterministic order: by total degree, then exponents."""

@@ -1,0 +1,143 @@
+"""Immutable finite Q-linear combinations of basis keys.
+
+``Terms`` is the module structure shared by the sparse algebras: words
+(``NCF``), pairs of words (``TensorNCF``), compositions (``QSF``),
+partitions (``SymF``) and (beta power, word) pairs (``BetaNCF``). A subclass
+supplies ``_check_key`` and its ring product in ``__mul__``; everything
+linear lives here.
+
+Add many elements with ``X.sum(...)``: it merges every summand into one dict
+and builds the result once, while a loop of ``out = out + term`` copies
+``out`` at every step.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def key_str(letter: str, key: tuple) -> str:
+    """A basis key as repr shows it: Z[1,2], with the empty key shown as 1."""
+    return letter + str(list(key)).replace(" ", "") if key else "1"
+
+
+class Terms:
+    """Immutable map key -> nonzero Fraction, with the vector-space operations."""
+
+    __slots__ = ("terms",)
+
+    _unit_key: tuple = ()
+
+    def __init__(self, terms=None):
+        check = self._check_key
+        clean = {}
+        for k, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[check(k)] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- per-class hooks ---------------------------------------------------
+
+    @staticmethod
+    def _check_key(key):
+        """Validate one basis key and return it in canonical form."""
+        raise NotImplementedError
+
+    def _key_str(self, key) -> str:
+        raise NotImplementedError
+
+    @staticmethod
+    def _order(key):
+        """Sort key of ``sorted_terms``: weight, then length, then the key."""
+        return (sum(key), len(key), key)
+
+    def _new(self, terms):
+        """An element of the same kind as self with the given terms."""
+        return type(self)(terms)
+
+    def _aligned(self, other):
+        """``other`` written so that its keys mean what self's keys mean."""
+        return other
+
+    def _invariant(self):
+        """What ``__hash__`` hashes; elements that compare equal share it."""
+        return frozenset(self.terms.items())
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @classmethod
+    def one(cls):
+        return cls({cls._unit_key: Fraction(1)})
+
+    @classmethod
+    def sum(cls, items):
+        """Sum of an iterable of elements in one pass; an empty sum is ``zero()``.
+
+        The first summand fixes the kind of the result (the basis of a SymF).
+        """
+        items = iter(items)
+        first = next(items, None)
+        if first is None:
+            return cls.zero()
+        out = dict(first.terms)
+        for x in items:
+            for k, c in first._aligned(x).terms.items():
+                out[k] = out[k] + c if k in out else c
+        return first._new(out)
+
+    # -- linear structure --------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.sum((self, other))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.sum((self, -other))
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """Multiplication by a scalar; subclasses add their ring product."""
+        if isinstance(other, (int, Fraction)):
+            return self._new({k: c * other for k, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.terms == self._aligned(other).terms
+        if other == 0:
+            return not self.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._invariant())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # -- reading -----------------------------------------------------------
+
+    def coeff(self, key) -> Fraction:
+        return self.terms.get(self._check_key(key), Fraction(0))
+
+    def sorted_terms(self):
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
+
+    def __repr__(self):
+        body = " + ".join(f"{c}*{self._key_str(k)}" for k, c in self.sorted_terms())
+        return f"{type(self).__name__}({body or 0})"

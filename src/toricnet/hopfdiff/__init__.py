@@ -32,7 +32,6 @@ from .coaction import (
 from .fgl import (
     commutative_fgl,
     fgl_abelianized,
-    fgl_associative_ok,
     fgl_associativity_defect,
     fgl_commutative_ok,
     fgl_over_N,
@@ -70,7 +69,6 @@ __all__ = [
     "coaction_counit_ok",
     "commutative_fgl",
     "fgl_abelianized",
-    "fgl_associative_ok",
     "fgl_associativity_defect",
     "fgl_commutative_ok",
     "fgl_over_N",

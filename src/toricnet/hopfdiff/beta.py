@@ -13,99 +13,61 @@ from fractions import Fraction
 
 from ..errors import InputError
 from ..exactcore import TruncSeries
+from ..exactcore.terms import Terms, key_str
 from ..ncsf import NCF, psi_series
+from ..ncsf.nsym import _check_word
 
 
-class BetaNCF:
+def _check_beta_key(key) -> tuple:
+    k, w = key
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"beta exponent must be >= 0: {k}")
+    return (k, _check_word(w))
+
+
+class BetaNCF(Terms):
     """Free-algebra element with polynomial beta coefficients.
 
     terms: (beta_exponent, word) -> Fraction. beta is central; words multiply
     by concatenation exactly as in NCF.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
+    _unit_key = (0, ())
+    _check_key = staticmethod(_check_beta_key)
 
-    @classmethod
-    def zero(cls) -> "BetaNCF":
-        return cls()
+    @staticmethod
+    def _order(key):
+        return key
 
-    @classmethod
-    def one(cls) -> "BetaNCF":
-        return cls({(0, ()): Fraction(1)})
+    def _key_str(self, key) -> str:
+        k, w = key
+        beta = "" if k == 0 else ("b" if k == 1 else f"b^{k}")
+        return beta + key_str("Z", w)
 
     @classmethod
     def from_ncf(cls, x: NCF, beta_exp: int = 0) -> "BetaNCF":
         return cls({(beta_exp, w): c for w, c in x.terms.items()})
-
-    def coeff(self, beta_exp: int, word: tuple) -> Fraction:
-        return self.terms.get((beta_exp, tuple(word)), Fraction(0))
 
     def eval_beta(self, value) -> NCF:
         """Substitute a rational value for beta."""
         value = Fraction(value)
         out: dict = {}
         for (k, w), c in self.terms.items():
-            c = c * value**k
-            if c:
-                out[w] = out.get(w, Fraction(0)) + c
-        return NCF({w: c for w, c in out.items() if c})
-
-    def __add__(self, other):
-        if not isinstance(other, BetaNCF):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BetaNCF(out)
-
-    def __neg__(self):
-        return BetaNCF({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BetaNCF):
-            return NotImplemented
-        return self + (-other)
+            out[w] = out.get(w, Fraction(0)) + c * value**k
+        return NCF(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BetaNCF({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, BetaNCF):
-            return NotImplemented
+            return super().__mul__(other)
         out: dict = {}
         for (k1, w1), c1 in self.terms.items():
             for (k2, w2), c2 in other.terms.items():
                 key = (k1 + k2, w1 + w2)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return BetaNCF(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, BetaNCF) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "BetaNCF(0)"
-        bits = []
-        for (k, w), c in sorted(self.terms.items()):
-            beta = "" if k == 0 else ("b" if k == 1 else f"b^{k}")
-            word = "1" if not w else "Z[" + ",".join(map(str, w)) + "]"
-            bits.append(f"{c}*{beta}{word}" if beta else f"{c}*{word}")
-        return "BetaNCF(" + " + ".join(bits) + ")"
 
 
 class BetaNCFRing:

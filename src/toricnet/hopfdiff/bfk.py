@@ -18,7 +18,8 @@ algebra in ``ln``; ``ab_bfk_to_ln`` checks that degree by degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from ..ncsf import NCF, TensorNCF, abelianize_ncf, abelianize_tensor, z_series
 from ..ncsf.compositions import compositions
@@ -40,22 +41,17 @@ def bfk_coproduct_gen(m: int) -> TensorNCF:
     """Delta Z_m = sum_{n=1}^{m+1} Z_{n-1} (x) [T^(m+1)] Z(T)^n."""
     if m < 1:
         raise ValueError("generators are Z_1, Z_2, ...")
-    out = TensorNCF.zero()
-    for n in range(1, m + 2):
-        right = _z_power_coeff(n, m + 1)
-        out = out + TensorNCF.pure(NCF.gen(n - 1), right)
-    return out
+    return TensorNCF.sum(
+        TensorNCF.pure(NCF.gen(n - 1), _z_power_coeff(n, m + 1)) for n in range(1, m + 2)
+    )
 
 
 def bfk_coproduct(x: NCF) -> TensorNCF:
     """Multiplicative extension of the generator coproduct."""
-    out = TensorNCF.zero()
-    for w, c in x.terms.items():
-        t = TensorNCF.one()
-        for i in w:
-            t = t * bfk_coproduct_gen(i)
-        out = out + t * c
-    return out
+    return TensorNCF.sum(
+        reduce(mul, map(bfk_coproduct_gen, w), TensorNCF.one()) * c
+        for w, c in x.terms.items()
+    )
 
 
 def bfk_coproduct_word(w: tuple) -> TensorNCF:
@@ -67,22 +63,19 @@ def bfk_antipode_gen(m: int) -> NCF:
     """chi(Z_m) by graded recursion over the reduced coproduct."""
     if m < 1:
         raise ValueError("generators are Z_1, Z_2, ...")
-    acc = -NCF.gen(m)
     # proper part: n = 2..m gives Z_{n-1} (x) (positive-weight right factor)
-    for n in range(2, m + 1):
-        acc = acc - bfk_antipode_gen(n - 1) * _z_power_coeff(n, m + 1)
-    return acc
+    return -NCF.sum(
+        [NCF.gen(m)]
+        + [bfk_antipode_gen(n - 1) * _z_power_coeff(n, m + 1) for n in range(2, m + 1)]
+    )
 
 
 def bfk_antipode(x: NCF) -> NCF:
     """Anti-multiplicative extension: chi(Z_a Z_b) = chi(Z_b) chi(Z_a)."""
-    out = NCF.zero()
-    for w, c in x.terms.items():
-        term = NCF.one()
-        for i in reversed(w):
-            term = term * bfk_antipode_gen(i)
-        out = out + term * c
-    return out
+    return NCF.sum(
+        reduce(mul, map(bfk_antipode_gen, reversed(w)), NCF.one()) * c
+        for w, c in x.terms.items()
+    )
 
 
 def bfk_counit(x: NCF) -> Fraction:
@@ -91,15 +84,13 @@ def bfk_counit(x: NCF) -> Fraction:
 
 def bfk_convolution(x: NCF, left_antipode: bool) -> NCF:
     """m(chi (x) id)Delta(x) or m(id (x) chi)Delta(x)."""
-    d = bfk_coproduct(x)
-    out = NCF.zero()
-    for (w1, w2), c in d.terms.items():
+
+    def term(w1, w2):
         if left_antipode:
-            term = bfk_antipode(NCF.word(w1)) * NCF.word(w2)
-        else:
-            term = NCF.word(w1) * bfk_antipode(NCF.word(w2))
-        out = out + term * c
-    return out
+            return bfk_antipode(NCF.word(w1)) * NCF.word(w2)
+        return NCF.word(w1) * bfk_antipode(NCF.word(w2))
+
+    return NCF.sum(term(w1, w2) * c for (w1, w2), c in bfk_coproduct(x).terms.items())
 
 
 def bfk_coassociativity_gap(x: NCF) -> dict:

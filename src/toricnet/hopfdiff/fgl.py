@@ -15,6 +15,7 @@ failing coefficient so the breakdown stays pinned, not papered over.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from ..errors import InputError
@@ -57,18 +58,6 @@ def fgl_commutative_ok(order: int) -> bool:
     return swap_axes(f) == f
 
 
-def fgl_associative_ok(order: int) -> bool:
-    """F(F(x,y),z) = F(x,F(y,z)) to the truncation order."""
-    f = fgl_over_N(order)
-    x = TruncSeries.var(NCFRing, order, index=0, nvars=3)
-    z3 = TruncSeries.var(NCFRing, order, index=2, nvars=3)
-    f_xy = f.compose_many([x, TruncSeries.var(NCFRing, order, index=1, nvars=3)])
-    f_yz = f.compose_many([TruncSeries.var(NCFRing, order, index=1, nvars=3), z3])
-    left = f.compose_many([f_xy, z3])
-    right = f.compose_many([x, f_yz])
-    return left == right
-
-
 def fgl_associativity_defect(order: int):
     """First nonzero coefficient of F(F(x,y),z) - F(x,F(y,z)), or None.
 
@@ -95,13 +84,10 @@ def fgl_abelianized(order: int, prefix: str = "b") -> TruncSeries:
     f = fgl_over_N(order)
 
     def ab(coeff):
-        out = SparsePoly.zero()
-        for w, c in coeff.terms.items():
-            powers: dict = {}
-            for i in w:
-                powers[f"{prefix}{i}"] = powers.get(f"{prefix}{i}", 0) + 1
-            out = out + SparsePoly.monomial(powers, c)
-        return out
+        return SparsePoly.sum(
+            SparsePoly.monomial(Counter(f"{prefix}{i}" for i in w), c)
+            for w, c in coeff.terms.items()
+        )
 
     return f.map_coeffs(ab, ring=PolyRing)
 

@@ -16,9 +16,11 @@ Z(T) = 1 + Z_1 T + Z_2 T^2 + ...
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from ..exactcore import TruncSeries
+from ..exactcore.terms import Terms, key_str
 
 Word = tuple  # tuple of positive ints
 
@@ -30,31 +32,15 @@ def _check_word(w) -> Word:
     return w
 
 
-class NCF:
+class NCF(Terms):
     """Element of the free algebra on Z_1, Z_2, ... over Q."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[_check_word(w)] = c
-        object.__setattr__(self, "terms", clean)
+    _check_key = staticmethod(_check_word)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCF is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "NCF":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "NCF":
-        return cls({(): Fraction(1)})
+    def _key_str(self, w) -> str:
+        return key_str("Z", w)
 
     @classmethod
     def gen(cls, i: int) -> "NCF":
@@ -67,27 +53,14 @@ class NCF:
     def word(cls, w, coeff=1) -> "NCF":
         return cls({tuple(w): Fraction(coeff)})
 
-    # -- arithmetic --------------------------------------------------------
-
+    # Its own def, not inherited: perfbench/tracer.py patches NCF.__add__ by
+    # identity in the class namespace.
     def __add__(self, other):
-        if not isinstance(other, NCF):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out[w] + c if w in out else c
-        return NCF(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NCF({w: -c for w, c in self.terms.items()})
+        return super().__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return NCF({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, NCF):
-            return NotImplemented
+            return super().__mul__(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -95,29 +68,6 @@ class NCF:
                 c = c1 * c2
                 out[w] = out[w] + c if w in out else c
         return NCF(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, NCF):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- structure ---------------------------------------------------------
-
-    def coeff(self, w) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
 
     def is_homogeneous(self, wt: int) -> bool:
         return all(sum(w) == wt for w in self.terms)
@@ -127,18 +77,6 @@ class NCF:
 
     def max_weight(self) -> int:
         return max((sum(w) for w in self.terms), default=0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda wc: (sum(wc[0]), len(wc[0]), wc[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "NCF(0)"
-        bits = []
-        for w, c in self.sorted_terms():
-            name = "Z" + str(list(w)).replace(" ", "") if w else "1"
-            bits.append(f"{c}*{name}")
-        return "NCF(" + " + ".join(bits) + ")"
 
 
 class NCFRing:
@@ -155,29 +93,25 @@ class NCFRing:
         return NCF.zero()
 
 
-class TensorNCF:
+def _check_pair(key) -> tuple:
+    w1, w2 = key
+    return (_check_word(w1), _check_word(w2))
+
+
+class TensorNCF(Terms):
     """Tensor square of NCF: terms (word, word) -> Q, factorwise product."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for (w1, w2), c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[(_check_word(w1), _check_word(w2))] = c
-        object.__setattr__(self, "terms", clean)
+    _unit_key = ((), ())
+    _check_key = staticmethod(_check_pair)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorNCF is immutable")
+    @staticmethod
+    def _order(key):
+        return (sum(key[0]) + sum(key[1]), key)
 
-    @classmethod
-    def zero(cls) -> "TensorNCF":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "TensorNCF":
-        return cls({((), ()): Fraction(1)})
+    def _key_str(self, key) -> str:
+        return f"{key_str('Z', key[0])}(x){key_str('Z', key[1])}"
 
     @classmethod
     def pure(cls, x: NCF, y: NCF) -> "TensorNCF":
@@ -187,25 +121,9 @@ class TensorNCF:
                 out[(w1, w2)] = c1 * c2
         return cls(out)
 
-    def __add__(self, other):
-        if not isinstance(other, TensorNCF):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TensorNCF(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorNCF({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorNCF({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, TensorNCF):
-            return NotImplemented
+            return super().__mul__(other)
         out: dict = {}
         for (a1, a2), c1 in self.terms.items():
             for (b1, b2), c2 in other.terms.items():
@@ -214,40 +132,8 @@ class TensorNCF:
                 out[k] = out[k] + c if k in out else c
         return TensorNCF(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, TensorNCF):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coeff(self, w1, w2) -> Fraction:
-        return self.terms.get((tuple(w1), tuple(w2)), Fraction(0))
-
     def flip(self) -> "TensorNCF":
         return TensorNCF({(w2, w1): c for (w1, w2), c in self.terms.items()})
-
-    def sorted_terms(self):
-        key = lambda kc: (sum(kc[0][0]) + sum(kc[0][1]), kc[0])
-        return sorted(self.terms.items(), key=key)
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorNCF(0)"
-        bits = []
-        for (w1, w2), c in self.sorted_terms():
-            n1 = "Z" + str(list(w1)).replace(" ", "") if w1 else "1"
-            n2 = "Z" + str(list(w2)).replace(" ", "") if w2 else "1"
-            bits.append(f"{c}*{n1}(x){n2}")
-        return "TensorNCF(" + " + ".join(bits) + ")"
 
 
 class TensorNCFRing:
@@ -282,29 +168,10 @@ def nsf_product(x: NCF, y: NCF) -> NCF:
 
 def nsf_coproduct(x: NCF) -> TensorNCF:
     """Multiplicative extension of Delta Z_i = sum_{j+k=i} Z_j (x) Z_k."""
-    out = TensorNCF.zero()
-    for w, c in x.terms.items():
-        t = TensorNCF.one()
-        for i in w:
-            t = t * _gen_coproduct(i)
-        out = out + t * c
-    return out
-
-
-def apply_to_slot(t: TensorNCF, delta, slot: int) -> dict:
-    """Apply a word-level coproduct to one slot of a 2-tensor.
-
-    ``delta`` maps a word to a TensorNCF; returns a dict keyed by word
-    triples, for coassociativity checks.
-    """
-    out: dict = {}
-    for (w1, w2), c in t.terms.items():
-        inner = delta(w1 if slot == 0 else w2)
-        for (u, v), d in inner.terms.items():
-            key = (u, v, w2) if slot == 0 else (w1, u, v)
-            val = c * d
-            out[key] = out.get(key, Fraction(0)) + val
-    return {k: v for k, v in out.items() if v}
+    return TensorNCF.sum(
+        reduce(mul, map(_gen_coproduct, w), TensorNCF.one()) * c
+        for w, c in x.terms.items()
+    )
 
 
 # -- grouplike-normalized generating series and the Cartier families ---------

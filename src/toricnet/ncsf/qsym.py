@@ -12,88 +12,29 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..exactcore import SparsePoly
+from ..exactcore.terms import Terms, key_str
 from .compositions import check_composition
 from .nsym import NCF, TensorNCF
 
 
-class QSF:
+class QSF(Terms):
     """Quasisymmetric function, monomial basis: terms composition -> Q."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for a, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[check_composition(a)] = c
-        object.__setattr__(self, "terms", clean)
+    _check_key = staticmethod(check_composition)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QSF is immutable")
-
-    @classmethod
-    def zero(cls) -> "QSF":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "QSF":
-        return cls({(): Fraction(1)})
+    def _key_str(self, alpha) -> str:
+        return key_str("M", alpha)
 
     @classmethod
     def monomial(cls, alpha, coeff=1) -> "QSF":
         return cls({tuple(alpha): Fraction(coeff)})
 
-    def __add__(self, other):
-        if not isinstance(other, QSF):
-            return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out[a] + c if a in out else c
-        return QSF(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QSF({a: -c for a, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSF({a: c * other for a, c in self.terms.items()})
         if not isinstance(other, QSF):
-            return NotImplemented
+            return super().__mul__(other)
         return qsym_product(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, QSF):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coeff(self, alpha) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ac: (sum(ac[0]), len(ac[0]), ac[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "QSF(0)"
-        bits = []
-        for a, c in self.sorted_terms():
-            name = "M" + str(list(a)).replace(" ", "") if a else "1"
-            bits.append(f"{c}*{name}")
-        return "QSF(" + " + ".join(bits) + ")"
 
 
 @lru_cache(maxsize=None)
@@ -131,21 +72,14 @@ def qsym_realize(alpha, k: int) -> SparsePoly:
     alpha = check_composition(alpha)
     if k < 0:
         raise ValueError("variable count must be >= 0")
-    names = [f"x{i}" for i in range(1, k + 1)]
-    out = SparsePoly.zero()
-    for idx in combinations(range(k), len(alpha)):
-        mono = SparsePoly.one()
-        for pos, part in zip(idx, alpha):
-            mono = mono * SparsePoly.monomial({names[pos]: part})
-        out = out + mono
-    return out
+    return SparsePoly.sum(
+        SparsePoly.monomial({f"x{pos + 1}": part for pos, part in zip(idx, alpha)})
+        for idx in combinations(range(k), len(alpha))
+    )
 
 
 def qsf_realize(x: QSF, k: int) -> SparsePoly:
-    out = SparsePoly.zero()
-    for a, c in x.terms.items():
-        out = out + qsym_realize(a, k) * c
-    return out
+    return SparsePoly.sum(qsym_realize(a, k) * c for a, c in x.terms.items())
 
 
 def pairing(x: NCF, q: QSF) -> Fraction:

@@ -9,12 +9,15 @@ degree; inputs above DEGREE_CAP are refused rather than silently truncated.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
+from operator import mul
 
 from ..errors import InputError
 from ..exactcore import SparsePoly, inverse_rational
+from ..exactcore.terms import Terms, key_str
 from .compositions import check_partition, partitions, to_partition
 from .nsym import NCF, TensorNCF
 from .qsym import QSF
@@ -25,24 +28,36 @@ BASES = ("e", "h", "p", "m", "s")
 _MULTIPLICATIVE = ("e", "h", "p")
 
 
-class SymF:
-    """Symmetric function tagged with its basis: terms partition -> Q."""
+class SymF(Terms):
+    """Symmetric function tagged with its basis: terms partition -> Q.
 
-    __slots__ = ("basis", "terms")
+    Elements in different bases add and compare after conversion to the
+    basis of the left operand.
+    """
+
+    __slots__ = ("basis",)
+
+    _check_key = staticmethod(check_partition)
 
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        clean = {}
-        for lam, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[check_partition(lam)] = c
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymF is immutable")
+    def _new(self, terms) -> "SymF":
+        return SymF(self.basis, terms)
+
+    def _aligned(self, other: "SymF") -> "SymF":
+        return sym_convert(other, self.basis)
+
+    def _invariant(self):
+        # a change of basis is invertible degree by degree, so the set of
+        # degrees present is the same in every basis
+        return frozenset(sum(lam) for lam in self.terms)
+
+    def _key_str(self, lam) -> str:
+        return key_str(self.basis, lam)
 
     @classmethod
     def zero(cls, basis: str = "e") -> "SymF":
@@ -63,52 +78,14 @@ class SymF:
     def element(cls, basis: str, lam, coeff=1) -> "SymF":
         return cls(basis, {tuple(lam): Fraction(coeff)})
 
-    def __add__(self, other):
-        if not isinstance(other, SymF):
-            return NotImplemented
-        if self.basis != other.basis:
-            other = sym_convert(other, self.basis)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out[lam] + c if lam in out else c
-        return SymF(self.basis, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymF(self.basis, {lam: -c for lam, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymF(self.basis, {lam: c * other for lam, c in self.terms.items()})
         if not isinstance(other, SymF):
-            return NotImplemented
+            return super().__mul__(other)
         if self.basis == other.basis and self.basis in _MULTIPLICATIVE:
             return _merge_mul(self, other)
         a = sym_convert(self, "h")
         b = sym_convert(other, "h")
         return sym_convert(_merge_mul(a, b), self.basis)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, SymF):
-            if self.basis == other.basis:
-                return self.terms == other.terms
-            return sym_convert(other, self.basis).terms == self.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
-
-    def coeff(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
 
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
@@ -118,18 +95,6 @@ class SymF:
 
     def is_homogeneous(self, n: int) -> bool:
         return all(sum(lam) == n for lam in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda lc: (sum(lc[0]), len(lc[0]), lc[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return f"SymF[{self.basis}](0)"
-        bits = []
-        for lam, c in self.sorted_terms():
-            name = self.basis + str(list(lam)).replace(" ", "") if lam else "1"
-            bits.append(f"{c}*{name}")
-        return f"SymF[{self.basis}](" + " + ".join(bits) + ")"
 
 
 def _merge_mul(x: SymF, y: SymF) -> SymF:
@@ -155,48 +120,44 @@ def _gen_image(src: str, dst: str, k: int) -> SymF:
         return SymF.gen(dst, k)
     if (src, dst) in (("e", "h"), ("h", "e")):
         # H(t)E(-t) = 1  =>  x_n = sum_{j=1..n} (-1)^(j-1) y_j x_{n-j}
-        acc = SymF.zero(dst)
-        for j in range(1, k + 1):
-            term = SymF.gen(dst, j) * _gen_image(src, dst, k - j)
-            acc = acc + term * Fraction((-1) ** (j - 1))
-        return acc
+        return SymF.sum(
+            SymF.gen(dst, j) * _gen_image(src, dst, k - j) * Fraction((-1) ** (j - 1))
+            for j in range(1, k + 1)
+        )
     if src == "p" and dst == "e":
         # Newton: p_n = sum_{j<n} (-1)^(j-1) e_j p_{n-j} + (-1)^(n-1) n e_n
-        acc = SymF.gen("e", k) * Fraction((-1) ** (k - 1) * k)
-        for j in range(1, k):
-            term = SymF.gen("e", j) * _gen_image("p", "e", k - j)
-            acc = acc + term * Fraction((-1) ** (j - 1))
-        return acc
+        return SymF.sum(
+            [SymF.gen("e", k) * Fraction((-1) ** (k - 1) * k)]
+            + [
+                SymF.gen("e", j) * _gen_image("p", "e", k - j) * Fraction((-1) ** (j - 1))
+                for j in range(1, k)
+            ]
+        )
     if src == "e" and dst == "p":
         # e_n = (1/n) sum_{j=1..n} (-1)^(j-1) e_{n-j} p_j
-        acc = SymF.zero("p")
-        for j in range(1, k + 1):
-            term = _gen_image("e", "p", k - j) * SymF.gen("p", j)
-            acc = acc + term * Fraction((-1) ** (j - 1))
+        acc = SymF.sum(
+            _gen_image("e", "p", k - j) * SymF.gen("p", j) * Fraction((-1) ** (j - 1))
+            for j in range(1, k + 1)
+        )
         return acc * Fraction(1, k)
     if src == "p" and dst == "h":
         # n h_n = sum p_j h_{n-j}  =>  p_n = n h_n - sum_{j<n} p_j h_{n-j}
-        acc = SymF.gen("h", k) * k
-        for j in range(1, k):
-            acc = acc - _gen_image("p", "h", j) * SymF.gen("h", k - j)
-        return acc
+        return SymF.sum(
+            [SymF.gen("h", k) * k]
+            + [-(_gen_image("p", "h", j) * SymF.gen("h", k - j)) for j in range(1, k)]
+        )
     if src == "h" and dst == "p":
         # h_n = (1/n) sum_{j=1..n} h_{n-j} p_j
-        acc = SymF.zero("p")
-        for j in range(1, k + 1):
-            acc = acc + _gen_image("h", "p", k - j) * SymF.gen("p", j)
+        acc = SymF.sum(_gen_image("h", "p", k - j) * SymF.gen("p", j) for j in range(1, k + 1))
         return acc * Fraction(1, k)
     raise ValueError(f"no generator route {src} -> {dst}")
 
 
 def _convert_multiplicative(f: SymF, dst: str) -> SymF:
-    out = SymF.zero(dst)
-    for lam, c in f.terms.items():
-        term = SymF.one(dst)
-        for part in lam:
-            term = term * _gen_image(f.basis, dst, part)
-        out = out + term * c
-    return out
+    return SymF.sum(
+        reduce(mul, (_gen_image(f.basis, dst, part) for part in lam), SymF.one(dst)) * c
+        for lam, c in f.terms.items()
+    )
 
 
 # -- Jacobi-Trudi -------------------------------------------------------------
@@ -333,10 +294,7 @@ def sym_convert(f: SymF, to: str) -> SymF:
             piece = _apply_degree_matrix(piece, _m_to_h_matrix(n), n)
             src = "h"
         elif src == "s":
-            acc = SymF.zero("h")
-            for lam, c in piece.items():
-                acc = acc + schur_in_h(lam) * c
-            piece = acc.terms
+            piece = SymF.sum(schur_in_h(lam) * c for lam, c in piece.items()).terms
             src = "h"
         if to in _MULTIPLICATIVE:
             conv = _convert_multiplicative(SymF(src, piece), to)
@@ -387,12 +345,11 @@ def sym_realize(f: SymF, nvars: int) -> SparsePoly:
     """Evaluate in x1..xk by expanding through the h basis."""
     fh = sym_convert(f, "h")
     names = [f"x{i}" for i in range(1, nvars + 1)]
-    out = SparsePoly.zero()
-    for lam, c in fh.terms.items():
-        poly = _realize_h_partition(lam, nvars)
-        for e, n in poly.items():
-            out = out + SparsePoly.monomial(dict(zip(names, e)), Fraction(n) * c)
-    return out
+    return SparsePoly.sum(
+        SparsePoly.monomial(dict(zip(names, e)), n * c)
+        for lam, c in fh.terms.items()
+        for e, n in _realize_h_partition(lam, nvars).items()
+    )
 
 
 # -- abelianization maps out of the free algebra --------------------------------
@@ -408,13 +365,9 @@ def abelianize_ncf(x: NCF, naming: str = "sym"):
             out[lam] = out.get(lam, Fraction(0)) + c
         return SymF("e", out)
     if naming == "diffeo":
-        out_poly = SparsePoly.zero()
-        for w, c in x.terms.items():
-            powers: dict = {}
-            for i in w:
-                powers[f"t{i}"] = powers.get(f"t{i}", 0) + 1
-            out_poly = out_poly + SparsePoly.monomial(powers, c)
-        return out_poly
+        return SparsePoly.sum(
+            SparsePoly.monomial(Counter(f"t{i}" for i in w), c) for w, c in x.terms.items()
+        )
     raise ValueError(f"unknown naming {naming!r}")
 
 
@@ -422,15 +375,10 @@ def abelianize_tensor(t: TensorNCF, naming: str = "diffeo") -> SparsePoly:
     """Tensor-square abelianization onto polynomials: left slot t_i, right t_i'."""
     if naming != "diffeo":
         raise ValueError("tensor abelianization targets the diffeo naming")
-    out = SparsePoly.zero()
-    for (w1, w2), c in t.terms.items():
-        powers: dict = {}
-        for i in w1:
-            powers[f"t{i}"] = powers.get(f"t{i}", 0) + 1
-        for i in w2:
-            powers[f"t{i}'"] = powers.get(f"t{i}'", 0) + 1
-        out = out + SparsePoly.monomial(powers, c)
-    return out
+    return SparsePoly.sum(
+        SparsePoly.monomial(Counter([f"t{i}" for i in w1] + [f"t{i}'" for i in w2]), c)
+        for (w1, w2), c in t.terms.items()
+    )
 
 
 def qsf_to_sym(q: QSF) -> SymF:

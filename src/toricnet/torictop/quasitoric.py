@@ -95,10 +95,6 @@ def _face_monomials(k: SimplicialComplex, degree: int) -> list[Monomial]:
     return sorted(out)
 
 
-def _monomial_support(e: Monomial) -> tuple[int, ...]:
-    return tuple(i + 1 for i, x in enumerate(e) if x)
-
-
 class EvalContext:
     """Cached evaluation functional for one QuasitoricData."""
 

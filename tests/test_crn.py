@@ -176,6 +176,40 @@ class TestTrees:
         with pytest.raises(NotWeaklyReversible):
             tree_constants(net)
 
+    def test_class_above_enumeration_cap_matches_networkx(self):
+        # nine complexes: tree constants come from determinant minors, and
+        # networkx enumerates the in-trees independently
+        import networkx as nx
+        from networkx.algorithms.tree.branchings import ArborescenceIterator
+
+        from toricnet.crn.trees import ENUMERATION_CAP
+
+        names = "ABCDEFGHI"
+        edges = {}
+        for i in range(9):
+            edges[(i, (i + 1) % 9)] = Fraction(i + 1, 2)
+            edges[((i + 1) % 9, i)] = Fraction(3, i + 2)
+        edges[(0, 5)] = Fraction(7, 3)
+        net = parse_network(
+            "\n".join(f"{names[s]} -> {names[t]} : {w}" for (s, t), w in edges.items())
+        )
+        assert [net.complex_label(i) for i in range(9)] == list(names)
+        assert linkage_classes(net) == [list(range(9))]
+        assert len(names) > ENUMERATION_CAP
+
+        # an in-tree of G converging to i is an arborescence of reversed G rooted at i
+        reversed_graph = nx.DiGraph()
+        for (s, t), w in edges.items():
+            reversed_graph.add_edge(t, s, rate=w)
+        expected = [Fraction(0)] * 9
+        for arb in ArborescenceIterator(reversed_graph):
+            root = next(v for v in arb if arb.in_degree(v) == 0)
+            product = Fraction(1)
+            for u, v in arb.edges:
+                product *= reversed_graph[u][v]["rate"]
+            expected[root] += product
+        assert tree_constants(net) == expected
+
 
 class TestToric:
     def test_bridge_binomials(self):

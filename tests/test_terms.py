@@ -1,0 +1,144 @@
+"""Properties shared by the sparse algebra types.
+
+NCF, TensorNCF, QSF, SymF and BetaNCF share the ``Terms`` core; SparsePoly
+has its own variable registry. All six must sum in one pass exactly as a
+chain of ``+`` does, hash consistently with ``==``, refuse mutation, and
+the four rendered types must survive a JSON round trip.
+"""
+
+import json
+import operator
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricnet import render
+from toricnet.exactcore import SparsePoly
+from toricnet.hopfdiff import BetaNCF
+from toricnet.ncsf import NCF, QSF, SymF, TensorNCF, sym_convert
+
+coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+partitions = st.lists(st.integers(1, 3), max_size=2).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+bases = st.sampled_from(("e", "h", "p", "m", "s"))
+
+
+def _terms(keys):
+    return st.dictionaries(keys, coeffs, max_size=4)
+
+
+ncfs = _terms(words).map(NCF)
+tensors = _terms(st.tuples(words, words)).map(TensorNCF)
+qsfs = _terms(words).map(QSF)
+syms = st.builds(SymF, bases, _terms(partitions))
+betas = _terms(st.tuples(st.integers(0, 2), words)).map(BetaNCF)
+polys = st.builds(
+    SparsePoly,
+    st.just(("x", "y", "z")),
+    _terms(st.tuples(*[st.integers(0, 2)] * 3)),
+)
+
+ALGEBRAS = {
+    "NCF": (ncfs, NCF.zero()),
+    "TensorNCF": (tensors, TensorNCF.zero()),
+    "QSF": (qsfs, QSF.zero()),
+    "SymF": (syms, SymF.zero()),
+    "BetaNCF": (betas, BetaNCF.zero()),
+    "SparsePoly": (polys, SparsePoly.zero()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_sum_equals_chained_add(name, data):
+    elements, zero = ALGEBRAS[name]
+    xs = data.draw(st.lists(elements, max_size=5))
+    total = type(zero).sum(xs)
+    assert total == reduce(operator.add, xs, zero)
+    assert type(zero).sum(iter(xs)) == total
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_difference_with_itself_is_zero(name, data):
+    elements, zero = ALGEBRAS[name]
+    x = data.draw(elements)
+    assert x - x == 0
+    assert not (x - x)
+    assert x - x == zero
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_equal_elements_hash_equal(name, data):
+    elements, zero = ALGEBRAS[name]
+    x = data.draw(elements)
+    y = data.draw(elements)
+    rebuilt = (x + y) - y
+    assert rebuilt == x
+    assert hash(rebuilt) == hash(x)
+    if name == "SymF":
+        other = sym_convert(x, data.draw(bases))
+        assert other == x
+        assert hash(other) == hash(x)
+
+
+def _from_terms_json(cls, payload, *basis):
+    return cls(*basis, {tuple(t["index"]): Fraction(t["coeff"]) for t in payload["terms"]})
+
+
+ROUND_TRIPS = {
+    "NCF": (ncfs, render.ncf_json, lambda p: _from_terms_json(NCF, p)),
+    "QSF": (qsfs, render.qsf_json, lambda p: _from_terms_json(QSF, p)),
+    "SymF": (syms, render.sym_json, lambda p: _from_terms_json(SymF, p, p["basis"])),
+    "TensorNCF": (
+        tensors,
+        render.tensor_json,
+        lambda p: TensorNCF(
+            {(tuple(t["left"]), tuple(t["right"])): Fraction(t["coeff"]) for t in p["terms"]}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_json_round_trip(name, data):
+    elements, to_json, from_json = ROUND_TRIPS[name]
+    x = data.draw(elements)
+    text = json.dumps(to_json(x), sort_keys=True)
+    back = from_json(json.loads(text))
+    assert back == x
+    assert json.dumps(to_json(back), sort_keys=True) == text
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        NCF.gen(1),
+        TensorNCF.one(),
+        QSF.monomial((1, 2)),
+        SymF.gen("h", 2),
+        BetaNCF.one(),
+        SparsePoly.variable("x"),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_terms_cannot_be_reassigned(element):
+    with pytest.raises(AttributeError):
+        element.terms = {}
+
+
+@pytest.mark.parametrize("key", [(-1, (1,)), (0, (0, 2)), ((1,), 0)])
+def test_beta_keys_are_checked(key):
+    with pytest.raises((ValueError, TypeError)):
+        BetaNCF({key: 1})
