@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
+from operator import add
 
 from ..errors import InputError
 from ..ncsf import NCF, compositions, partitions
@@ -22,24 +23,18 @@ ClassDict = dict  # exponent tuple -> Fraction
 
 
 def _prune(q: QuasitoricData, cls: ClassDict) -> ClassDict:
-    ctx = eval_context(q)
-    faces = ctx.q.complex
-    out: ClassDict = {}
-    for e, c in cls.items():
-        if not c:
-            continue
-        support = [i + 1 for i, x in enumerate(e) if x]
-        if faces.is_face(support):
-            out[e] = c
-    return out
+    """Drop zero terms and terms whose support is not a face of the complex."""
+    supports = eval_context(q).supports
+    return {e: c for e, c in cls.items() if c and tuple(compress(range(len(e)), e)) in supports}
 
 
 def class_product(q: QuasitoricData, a: ClassDict, b: ClassDict) -> ClassDict:
     out: ClassDict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            e = tuple(map(add, ea, eb))
+            p = ca * cb
+            out[e] = out[e] + p if e in out else p
     return _prune(q, out)
 
 

@@ -32,6 +32,7 @@ CASES = {
     "crn_trees_k4": ["crn", "trees", K4],
     "crn_trees_nine": ["crn", "trees", NINE],
     "crn_toric_bridge": ["crn", "toric", "A <-> B : 1, 1\nB <-> C : 1, 1\nC <-> A : 1, 1"],
+    "crn_toric_cycle5": ["crn", "toric", "A -> B : 1\nB -> C : 2\nC -> D : 1\nD -> E : 3\nE -> A : 1"],
     "qsym_product": ["qsym", "product", "--left", "1,2", "--right", "2,1"],
     "qsym_realize": ["qsym", "realize", "--comp", "1,2", "--nvars", "3"],
     "sym_convert_m_h": ["sym", "convert", "--element", "m:2,1,1", "--to", "h"],
@@ -50,6 +51,12 @@ CASES = {
     "freeprob_free": ["freeprob", "free", "--moments", "1,0,1,0,2,0,5"],
     "toric_charnum_cp2": ["toric", "charnum", "--quasitoric", "@cp2.json"],
     "toric_charnum_prism": ["toric", "charnum", "--polytope", "@prism3.json"],
+    "toric_charnum_cp2xcp2_twisted": ["toric", "charnum", "--quasitoric", "@cp2xcp2_twisted.json"],
+    "toric_charnum_cp4_flip": ["toric", "charnum", "--quasitoric", "@cp4.json", "--orientation-flip"],
+    "toric_charnum_bott3": ["toric", "charnum", "--quasitoric", "@bott3.json"],
+    "toric_charnum_cube_cut_normal": [
+        "toric", "charnum", "--polytope", "@cube_cut.json", "--bundle", "normal"
+    ],
     "toric_delzant": ["toric", "delzant", "--polytope", "@simplex2.json"],
 }
 
