@@ -1,12 +1,6 @@
 """Cumulant transforms: classical, free, genus K-series, noncommutative."""
 
 from .ncseries import NCCumulants, nc_cumulant_series
-from .oracles import (
-    moment_from_classical_cumulants,
-    moment_from_free_cumulants,
-    nc_partition_oracle,
-    set_partitions,
-)
 from .transforms import (
     classical_cumulants,
     classical_cumulants_to_moments,
@@ -21,10 +15,6 @@ __all__ = [
     "classical_cumulants_to_moments",
     "free_cumulants_to_moments",
     "hirzebruch_K",
-    "moment_from_classical_cumulants",
-    "moment_from_free_cumulants",
     "moments_to_free_cumulants",
     "nc_cumulant_series",
-    "nc_partition_oracle",
-    "set_partitions",
 ]

@@ -1,10 +1,11 @@
 """Symmetric functions over Q in the e, h, p, m, s bases.
 
 Conversions are exact: e <-> h through the series relation H(t)E(-t) = 1,
-p through the Newton recurrences, s through Jacobi-Trudi determinants in h,
-and the monomial basis through per-degree transition matrices read off a
-brute-force realization in (degree) variables. Everything is cached per
-degree; inputs above DEGREE_CAP are refused rather than silently truncated.
+p through the Newton recurrences, and the m and s bases through per-degree
+integer matrices that all come from one Kostka matrix K (s = K m, h = K^T s),
+whose entries count semistandard tableaux. Everything is cached per degree;
+inputs above DEGREE_CAP are refused rather than silently truncated. A
+realization in variables goes through the e basis, where e_k = M_(1^k).
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
 from operator import mul
 
 from ..errors import InputError
-from ..exactcore import SparsePoly, inverse_rational
+from ..exactcore import SparsePoly, identity, mat_mul, transpose
 from ..exactcore.terms import Terms, key_str
 from .compositions import check_partition, partitions, to_partition
 from .nsym import NCF, TensorNCF
-from .qsym import QSF
+from .qsym import QSF, qsym_realize
 
 DEGREE_CAP = 10
 
@@ -104,7 +104,7 @@ def _merge_mul(x: SymF, y: SymF) -> SymF:
         for l2, c2 in y.terms.items():
             key = tuple(sorted(l1 + l2, reverse=True))
             c = c1 * c2
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
     return SymF(x.basis, out)
 
 
@@ -154,124 +154,93 @@ def _gen_image(src: str, dst: str, k: int) -> SymF:
 
 
 def _convert_multiplicative(f: SymF, dst: str) -> SymF:
+    if f.basis == dst:
+        return f
     return SymF.sum(
         reduce(mul, (_gen_image(f.basis, dst, part) for part in lam), SymF.one(dst)) * c
         for lam, c in f.terms.items()
     )
 
 
-# -- Jacobi-Trudi -------------------------------------------------------------
+# -- Kostka numbers and the m, s transitions ----------------------------------
+
+
+def _strip_inner(shape: tuple, k: int):
+    """Shapes nu inside ``shape`` such that shape/nu is a horizontal strip of k boxes."""
+    if not shape:
+        if k == 0:
+            yield ()
+        return
+    below = shape[1] if len(shape) > 1 else 0
+    for take in range(min(k, shape[0] - below) + 1):
+        head = shape[0] - take
+        for rest in _strip_inner(shape[1:], k - take):
+            yield (head,) + rest if head else rest
+
+
+@lru_cache(maxsize=None)
+def _kostka_number(shape: tuple, content: tuple) -> int:
+    """Semistandard tableaux of ``shape`` and ``content``.
+
+    The entries equal to the largest letter fill a horizontal strip; strip it
+    and count the rest.
+    """
+    if not content:
+        return 0 if shape else 1
+    return sum(_kostka_number(inner, content[:-1]) for inner in _strip_inner(shape, content[-1]))
+
+
+def _inverse_unitriangular(u: list) -> list:
+    """Inverse of an upper unitriangular integer matrix, by back-substitution."""
+    size = len(u)
+    inv = identity(size)
+    for i in reversed(range(size)):
+        for j in range(i + 1, size):
+            inv[i][j] = -sum(u[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+    return inv
+
+
+@lru_cache(maxsize=None)
+def _transitions(n: int) -> dict:
+    """Degree-n matrices between h and the m, s bases, keyed by (source, target).
+
+    Row lambda expands the source element lambda over the target basis, rows
+    and columns in partitions(n) order. All of them come from the Kostka
+    matrix K, where s = K m and h = K^T s (Macdonald I.6-I.7): h -> s is K^T,
+    h -> m is K^T K, and s -> h, m -> h are their inverses. K is upper
+    unitriangular in this order, so its inverse is an integer matrix too.
+    """
+    parts = partitions(n)
+    k = [[_kostka_number(lam, mu) for mu in parts] for lam in parts]
+    kt = transpose(k)
+    kinv = _inverse_unitriangular(k)
+    kinv_t = transpose(kinv)
+    return {
+        ("h", "s"): kt,
+        ("s", "h"): kinv_t,
+        ("h", "m"): mat_mul(kt, k),
+        ("m", "h"): mat_mul(kinv, kinv_t),
+    }
+
+
+def _apply_transition(piece: SymF, to: str, n: int) -> SymF:
+    """A degree-n piece moved between h and m or s by one transition matrix."""
+    parts = partitions(n)
+    rows = dict(zip(parts, _transitions(n)[piece.basis, to]))
+    out: dict = {}
+    for lam, c in piece.terms.items():
+        for mu, entry in zip(parts, rows[lam]):
+            if entry:
+                v = c * entry
+                out[mu] = out[mu] + v if mu in out else v
+    return SymF(to, out)
 
 
 @lru_cache(maxsize=None)
 def schur_in_h(lam: tuple) -> SymF:
-    """s_lambda = det(h_{lambda_i - i + j}) expanded in the h basis."""
+    """s_lambda in the h basis (the Jacobi-Trudi expansion): row lambda of K^-T."""
     lam = check_partition(lam)
-    size = len(lam)
-    if size == 0:
-        return SymF.one("h")
-    memo: dict = {}
-
-    def minor(row: int, cols: tuple) -> dict:
-        if row == size:
-            return {(): Fraction(1)}
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        out: dict = {}
-        for pos, j in enumerate(cols):
-            a = lam[row] - row + j  # h-index at (row, j), 0-based
-            if a < 0:
-                continue
-            sign = Fraction((-1) ** pos)
-            rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            for mult, c in rest.items():
-                key2 = tuple(sorted(mult + ((a,) if a > 0 else ()), reverse=True))
-                out[key2] = out.get(key2, Fraction(0)) + sign * c
-        memo[key] = out
-        return out
-
-    return SymF("h", minor(0, tuple(range(size))))
-
-
-# -- monomial-basis transitions via realization -------------------------------
-
-
-@lru_cache(maxsize=None)
-def _h_poly(k: int, nvars: int) -> dict:
-    """Complete homogeneous h_k in nvars variables, as exponent-tuple -> int."""
-    out: dict = {}
-    for combo in combinations_with_replacement(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = out.get(tuple(e), 0) + 1
-    return out
-
-
-def _realize_h_partition(lam: tuple, nvars: int) -> dict:
-    acc = {(0,) * nvars: 1}
-    for part in lam:
-        hp = _h_poly(part, nvars)
-        nxt: dict = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in hp.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        acc = nxt
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _h_to_m_matrix(n: int) -> tuple:
-    """Rows h_lambda expanded over columns m_mu, partitions(n) order."""
-    parts = partitions(n)
-    rows = []
-    for lam in parts:
-        poly = _realize_h_partition(lam, max(n, 1))
-        row = []
-        for mu in parts:
-            e = tuple(mu) + (0,) * (max(n, 1) - len(mu))
-            row.append(Fraction(poly.get(e, 0)))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _m_to_h_matrix(n: int) -> tuple:
-    inv = inverse_rational([list(r) for r in _h_to_m_matrix(n)])
-    if inv is None:
-        raise RuntimeError("h-to-m transition is singular (bug)")
-    return tuple(tuple(r) for r in inv)
-
-
-@lru_cache(maxsize=None)
-def _s_to_h_matrix(n: int) -> tuple:
-    parts = partitions(n)
-    return tuple(
-        tuple(schur_in_h(lam).coeff(mu) for mu in parts) for lam in parts
-    )
-
-
-@lru_cache(maxsize=None)
-def _h_to_s_matrix(n: int) -> tuple:
-    inv = inverse_rational([list(r) for r in _s_to_h_matrix(n)])
-    if inv is None:
-        raise RuntimeError("s-to-h transition is singular (bug)")
-    return tuple(tuple(r) for r in inv)
-
-
-def _apply_degree_matrix(piece: dict, matrix: tuple, n: int) -> dict:
-    parts = partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    out: dict = {}
-    for lam, c in piece.items():
-        row = matrix[index[lam]]
-        for j, entry in enumerate(row):
-            if entry:
-                mu = parts[j]
-                out[mu] = out.get(mu, Fraction(0)) + c * entry
-    return out
+    return _apply_transition(SymF("s", {lam: Fraction(1)}), "h", sum(lam))
 
 
 # -- the public conversion -----------------------------------------------------
@@ -285,26 +254,17 @@ def sym_convert(f: SymF, to: str) -> SymF:
     if f.degree() > DEGREE_CAP:
         raise InputError(f"degree cap exceeded: {f.degree()} > {DEGREE_CAP}")
     out_terms: dict = {}
-    degrees = sorted({sum(lam) for lam in f.terms})
-    for n in degrees:
-        piece = {lam: c for lam, c in f.terms.items() if sum(lam) == n}
-        # normalize the source to the h basis when it is not multiplicative
-        src = f.basis
-        if src == "m":
-            piece = _apply_degree_matrix(piece, _m_to_h_matrix(n), n)
-            src = "h"
-        elif src == "s":
-            piece = SymF.sum(schur_in_h(lam) * c for lam, c in piece.items()).terms
-            src = "h"
+    for n in sorted({sum(lam) for lam in f.terms}):
+        piece = f.graded_piece(n)
+        # m and s reach the multiplicative bases through h
+        if piece.basis not in _MULTIPLICATIVE:
+            piece = _apply_transition(piece, "h", n)
         if to in _MULTIPLICATIVE:
-            conv = _convert_multiplicative(SymF(src, piece), to)
-            for lam, c in conv.terms.items():
-                out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
+            piece = _convert_multiplicative(piece, to)
         else:
-            in_h = SymF(src, piece) if src == "h" else _convert_multiplicative(SymF(src, piece), "h")
-            matrix = _h_to_m_matrix(n) if to == "m" else _h_to_s_matrix(n)
-            for lam, c in _apply_degree_matrix(in_h.terms, matrix, n).items():
-                out_terms[lam] = out_terms.get(lam, Fraction(0)) + c
+            piece = _apply_transition(_convert_multiplicative(piece, "h"), to, n)
+        # pieces of different degrees share no partition
+        out_terms.update(piece.terms)
     return SymF(to, out_terms)
 
 
@@ -342,13 +302,10 @@ def hall_pairing(f: SymF, g: SymF) -> Fraction:
 
 
 def sym_realize(f: SymF, nvars: int) -> SparsePoly:
-    """Evaluate in x1..xk by expanding through the h basis."""
-    fh = sym_convert(f, "h")
-    names = [f"x{i}" for i in range(1, nvars + 1)]
+    """Evaluate in x1..xk as a product of e_k = M_(1^k) in the e basis."""
     return SparsePoly.sum(
-        SparsePoly.monomial(dict(zip(names, e)), n * c)
-        for lam, c in fh.terms.items()
-        for e, n in _realize_h_partition(lam, nvars).items()
+        reduce(mul, (qsym_realize((1,) * k, nvars) for k in lam), SparsePoly.one()) * c
+        for lam, c in sym_convert(f, "e").terms.items()
     )
 
 
@@ -362,7 +319,7 @@ def abelianize_ncf(x: NCF, naming: str = "sym"):
         out: dict = {}
         for w, c in x.terms.items():
             lam = to_partition(w)
-            out[lam] = out.get(lam, Fraction(0)) + c
+            out[lam] = out[lam] + c if lam in out else c
         return SymF("e", out)
     if naming == "diffeo":
         return SparsePoly.sum(
@@ -386,5 +343,5 @@ def qsf_to_sym(q: QSF) -> SymF:
     out: dict = {}
     for a, c in q.terms.items():
         lam = to_partition(a)
-        out[lam] = out.get(lam, Fraction(0)) + c
+        out[lam] = out[lam] + c if lam in out else c
     return SymF("m", out)

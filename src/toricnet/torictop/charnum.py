@@ -19,7 +19,7 @@ from ..errors import InputError
 from ..ncsf import NCF, compositions, partitions
 from .quasitoric import QuasitoricData, eval_context
 
-ClassDict = dict  # exponent tuple -> Fraction
+ClassDict = dict  # exponent tuple -> rational coefficient (int or Fraction)
 
 
 def _prune(q: QuasitoricData, cls: ClassDict) -> ClassDict:
@@ -60,7 +60,7 @@ def complete_class(q: QuasitoricData, k: int) -> ClassDict:
         for i in chosen:
             e[i] += 1
         key = tuple(e)
-        out[key] = out.get(key, Fraction(0)) + 1
+        out[key] = out[key] + 1 if key in out else 1
     return _prune(q, out)
 
 
@@ -132,7 +132,7 @@ def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> ClassDict:
         for i, a in zip(chosen, alpha):
             e[i] = a
         key = tuple(e)
-        out[key] = out.get(key, Fraction(0)) + 1
+        out[key] = out[key] + 1 if key in out else 1
     return _prune(q, out)
 
 

@@ -253,7 +253,7 @@ class EvalContext:
         total = Fraction(0)
         for e, c in cls.items():
             if c:
-                total += Fraction(c) * self.evaluate_monomial(e)
+                total += c * self.evaluate_monomial(e)
         return total
 
 

@@ -2,7 +2,8 @@
 
 These enumerate non-crossing respectively arbitrary set partitions and sum
 products of cumulants over blocks. Slow but independent of the series-based
-transforms, which is the point.
+transforms in ``toricnet.freeprob``, which is the point: this module imports
+nothing from toricnet.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-
-from ..errors import InputError
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -42,14 +41,14 @@ def _nc_rec(elements: tuple[int, ...]) -> list[Partition]:
 def nc_partition_oracle(n: int) -> list[Partition]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
     if n < 0 or n > 10:
-        raise InputError("non-crossing enumeration capped at n = 10")
+        raise ValueError("non-crossing enumeration capped at n = 10")
     return _nc_rec(tuple(range(1, n + 1)))
 
 
 def set_partitions(n: int) -> list[Partition]:
     """All set partitions of {1..n}; |result| = Bell(n)."""
     if n < 0 or n > 10:
-        raise InputError("set partition enumeration capped at n = 10")
+        raise ValueError("set partition enumeration capped at n = 10")
     parts: list[list[list[int]]] = [[]]
     for e in range(1, n + 1):
         grown: list[list[list[int]]] = []

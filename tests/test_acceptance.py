@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 from conftest import record_acceptance
 from fgl_oracle import FreeLawOracle
+from partition_oracle import moment_from_free_cumulants
 
 from toricnet.crn import (
     analyze,
@@ -30,7 +31,6 @@ from toricnet.exactcore import SparsePoly, TruncSeries, rank
 from toricnet.freeprob import (
     free_cumulants_to_moments,
     hirzebruch_K,
-    moment_from_free_cumulants,
     moments_to_free_cumulants,
     nc_cumulant_series,
 )

@@ -168,6 +168,13 @@ class TestQsymSym:
         code, out = run("sym", "pair", "--left", "p:2,1", "--right", "p:2,1")
         assert (code, out) == (0, "2\n")
 
+    def test_sym_convert_above_degree_cap_exit_1(self, run):
+        code, out = run("sym", "convert", "--element", "m:6,5", "--to", "s")
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "InputError"
+        assert "degree cap exceeded" in err["detail"]
+
 
 class TestHopf:
     def test_coproduct(self, run):

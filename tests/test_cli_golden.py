@@ -39,6 +39,8 @@ CASES = {
     "sym_convert_h_s": ["sym", "convert", "--element", "h:3,2,1", "--to", "s"],
     "sym_convert_s_e": ["sym", "convert", "--element", "s:2,2,1", "--to", "e"],
     "sym_convert_p_m": ["sym", "convert", "--element", "p:3,1", "--to", "m"],
+    # degree 10, the degree cap
+    "sym_convert_m_s_deg10": ["sym", "convert", "--element", "m:4,3,2,1", "--to", "s"],
     "sym_pair": ["sym", "pair", "--left", "s:2,1", "--right", "p:2,1"],
     "hopf_coproduct_bfk": ["hopf", "coproduct", "--algebra", "bfk", "--degree", "4"],
     "hopf_coproduct_ln": ["hopf", "coproduct", "--algebra", "ln", "--degree", "4"],

@@ -3,18 +3,21 @@ from fractions import Fraction as F
 
 import pytest
 
+from partition_oracle import (
+    moment_from_classical_cumulants,
+    moment_from_free_cumulants,
+    nc_partition_oracle,
+    set_partitions,
+)
+
 from toricnet.errors import InputError
 from toricnet.freeprob import (
     classical_cumulants,
     classical_cumulants_to_moments,
     free_cumulants_to_moments,
     hirzebruch_K,
-    moment_from_classical_cumulants,
-    moment_from_free_cumulants,
     moments_to_free_cumulants,
     nc_cumulant_series,
-    nc_partition_oracle,
-    set_partitions,
 )
 from toricnet.render import render_ncf
 
