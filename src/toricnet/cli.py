@@ -436,32 +436,19 @@ def _cmd_hopf_coaction(args) -> int:
 # ---------------------------------------------------------------- freeprob
 
 
-def _cmd_freeprob_free(args) -> int:
-    from .freeprob import free_cumulants_to_moments, moments_to_free_cumulants
+def _cmd_freeprob_cumulants(args) -> int:
+    """``freeprob free`` and ``freeprob classical``: ``args.transforms`` names
+    the (moments -> cumulants, cumulants -> moments) pair in ``freeprob``."""
+    from . import freeprob
 
     if (args.moments is None) == (args.cumulants is None):
         raise InputError("give exactly one of --moments or --cumulants")
+    to_cumulants, to_moments = (getattr(freeprob, name) for name in args.transforms)
     if args.moments is not None:
-        out = moments_to_free_cumulants(_parse_fracs(args.moments))
-        key = "free_cumulants"
+        out = to_cumulants(_parse_fracs(args.moments))
+        key = f"{args.cmd}_cumulants"
     else:
-        out = free_cumulants_to_moments(_parse_fracs(args.cumulants))
-        key = "moments"
-    payload = {key: [frac_str(v) for v in out]}
-    _emit(payload, [f"{key}: " + ", ".join(frac_str(v) for v in out)], args.format)
-    return 0
-
-
-def _cmd_freeprob_classical(args) -> int:
-    from .freeprob import classical_cumulants, classical_cumulants_to_moments
-
-    if (args.moments is None) == (args.cumulants is None):
-        raise InputError("give exactly one of --moments or --cumulants")
-    if args.moments is not None:
-        out = classical_cumulants(_parse_fracs(args.moments))
-        key = "classical_cumulants"
-    else:
-        out = classical_cumulants_to_moments(_parse_fracs(args.cumulants))
+        out = to_moments(_parse_fracs(args.cumulants))
         key = "moments"
     payload = {key: [frac_str(v) for v in out]}
     _emit(payload, [f"{key}: " + ", ".join(frac_str(v) for v in out)], args.format)
@@ -731,12 +718,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments", help="1,m1,m2,... starting at m0 = 1")
     p.add_argument("--cumulants", help="k1,k2,...")
     _add_format(p)
-    p.set_defaults(fn=_cmd_freeprob_free)
+    p.set_defaults(
+        fn=_cmd_freeprob_cumulants,
+        transforms=("moments_to_free_cumulants", "free_cumulants_to_moments"),
+    )
     p = fp.add_parser("classical")
     p.add_argument("--moments")
     p.add_argument("--cumulants")
     _add_format(p)
-    p.set_defaults(fn=_cmd_freeprob_classical)
+    p.set_defaults(
+        fn=_cmd_freeprob_cumulants,
+        transforms=("classical_cumulants", "classical_cumulants_to_moments"),
+    )
     p = fp.add_parser("hirzebruch")
     p.add_argument("--log", required=True, help="log coefficients l1,l2,... with l1 = 1")
     p.add_argument("--order", type=int)

@@ -23,14 +23,13 @@ from .matrices import (
     transpose,
 )
 from .polynomials import SparsePoly
-from .series import PolyRing, QRing, TruncSeries
+from .series import QRing, TruncSeries
 
 __all__ = [
     "Rational",
     "SparsePoly",
     "TruncSeries",
     "QRing",
-    "PolyRing",
     "ff_determinant",
     "hermite_normal_form",
     "lattice_kernel",

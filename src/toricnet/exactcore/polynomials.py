@@ -43,7 +43,7 @@ class SparsePoly:
             exps = tuple(exps)
             if len(exps) != len(vs):
                 raise ValueError("exponent tuple length does not match registry")
-            tm[exps] = tm.get(exps, Fraction(0)) + c
+            tm[exps] = tm[exps] + c if exps in tm else c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", {e: c for e, c in tm.items() if c != 0})
         self._canonicalize()
@@ -60,7 +60,7 @@ class SparsePoly:
             new_terms = {}
             for e, c in tm.items():
                 ne = tuple(e[i] for i in order)
-                new_terms[ne] = new_terms.get(ne, Fraction(0)) + c
+                new_terms[ne] = new_terms[ne] + c if ne in new_terms else c
             object.__setattr__(self, "vars", new_vars)
             object.__setattr__(self, "terms", {e: c for e, c in new_terms.items() if c != 0})
 
@@ -114,11 +114,7 @@ class SparsePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vs, a, b = self._align(other)
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return SparsePoly(vs, out)
+        return SparsePoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -150,7 +146,8 @@ class SparsePoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return SparsePoly(vs, out)
 
     __rmul__ = __mul__

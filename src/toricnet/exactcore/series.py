@@ -4,24 +4,33 @@ A series carries an explicit truncation order N: coefficients are stored for
 total degree <= N and anything beyond is unknown, not zero. Binary operations
 clamp to the minimum order of the operands.
 
-Coefficients live in any associative unital Q-algebra exposed through a small
-ring tag: an object with ``one()`` and ``zero()`` whose elements support
-``+``, ``-``, unary ``-``, ``*`` (possibly noncommutative) and multiplication
-by int/Fraction scalars. The series variables are central: they commute with
-every coefficient, but coefficients need not commute with each other, and all
-operations here keep coefficient products in left-to-right order.
+Coefficients live in any associative unital Q-algebra. A series' ``ring`` is
+the coefficient class itself (``SparsePoly``, ``NCF``, ``BetaNCF``, ...), or
+``QRing`` for plain ``Fraction`` coefficients. The ring protocol is:
+
+* ``ring.zero()`` and ``ring.one()``;
+* ``ring.sum(iterable)``, the sum of the elements in one pass (zero when the
+  iterable is empty);
+* elements that are falsy exactly when they are zero and support ``-``,
+  unary ``-``, ``*`` (possibly noncommutative) and multiplication by
+  int/Fraction scalars.
+
+Every sum of coefficients goes through ``ring.sum`` once per exponent, never
+through a chain of binary ``+``. The series variables are central: they
+commute with every coefficient, but coefficients need not commute with each
+other, and all operations here keep coefficient products in left-to-right
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 
 class QRing:
-    """Ring tag for plain rational coefficients."""
-
-    name = "Q"
+    """Coefficient ring of plain rationals: ``Fraction`` has no ``zero``/``one``/``sum``."""
 
     @staticmethod
     def one():
@@ -31,23 +40,25 @@ class QRing:
     def zero():
         return Fraction(0)
 
-
-class PolyRing:
-    """Ring tag for SparsePoly coefficients (commutative)."""
-
-    name = "Poly"
-
     @staticmethod
-    def one():
-        from .polynomials import SparsePoly
+    def sum(items):
+        return sum(items, Fraction(0))
 
-        return SparsePoly.one()
 
-    @staticmethod
-    def zero():
-        from .polynomials import SparsePoly
+def _collect(ring, pairs) -> dict:
+    """Group (exponent, coefficient) pairs by exponent; sum each group once."""
+    groups: dict = {}
+    for e, c in pairs:
+        if e in groups:
+            groups[e].append(c)
+        else:
+            groups[e] = [c]
+    return {e: cs[0] if len(cs) == 1 else ring.sum(cs) for e, cs in groups.items()}
 
-        return SparsePoly.zero()
+
+def _same_ring(a: "TruncSeries", b: "TruncSeries") -> None:
+    if a.ring is not b.ring:
+        raise ValueError(f"ring mismatch: {a.ring.__name__} vs {b.ring.__name__}")
 
 
 class TruncSeries:
@@ -63,7 +74,6 @@ class TruncSeries:
         self.ring = ring
         self.order = order
         self.nvars = nvars
-        zero = ring.zero()
         clean = {}
         for e, c in (coeffs or {}).items():
             e = tuple(e)
@@ -71,37 +81,21 @@ class TruncSeries:
                 raise ValueError(f"bad exponent {e}")
             if sum(e) > order:
                 continue
-            if c != zero:
+            if c:
                 clean[e] = c
         self.coeffs = clean
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, order: int, nvars: int = 1) -> "TruncSeries":
-        return cls(ring, order, nvars, {})
-
-    @classmethod
     def one(cls, ring, order: int, nvars: int = 1) -> "TruncSeries":
         return cls(ring, order, nvars, {(0,) * nvars: ring.one()})
-
-    @classmethod
-    def const(cls, ring, value, order: int, nvars: int = 1) -> "TruncSeries":
-        return cls(ring, order, nvars, {(0,) * nvars: value})
 
     @classmethod
     def var(cls, ring, order: int, index: int = 0, nvars: int = 1) -> "TruncSeries":
         e = [0] * nvars
         e[index] = 1
         return cls(ring, order, nvars, {tuple(e): ring.one()})
-
-    @classmethod
-    def from_coeffs(cls, ring, seq, order: int | None = None) -> "TruncSeries":
-        """1-variable series from a coefficient list [c0, c1, ...]."""
-        seq = list(seq)
-        if order is None:
-            order = len(seq) - 1
-        return cls(ring, order, 1, {(k,): c for k, c in enumerate(seq)})
 
     # -- basics -----------------------------------------------------------
 
@@ -118,11 +112,7 @@ class TruncSeries:
         return TruncSeries(self.ring, order, self.nvars, self.coeffs)
 
     def _compat(self, other: "TruncSeries"):
-        if self.ring is not other.ring:
-            raise ValueError(
-                f"ring mismatch: {getattr(self.ring, 'name', self.ring)} vs "
-                f"{getattr(other.ring, 'name', other.ring)}"
-            )
+        _same_ring(self, other)
         if self.nvars != other.nvars:
             raise ValueError("variable arity mismatch")
         return min(self.order, other.order)
@@ -146,9 +136,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._compat(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
+        out = _collect(self.ring, chain(self.coeffs.items(), other.coeffs.items()))
         return TruncSeries(self.ring, n, self.nvars, out)
 
     def __sub__(self, other):
@@ -175,32 +163,22 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._compat(other)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            if d1 > n:
-                continue
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > n:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return TruncSeries(self.ring, n, self.nvars, out)
+        rhs = [(e2, sum(e2), c2) for e2, c2 in other.coeffs.items()]
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative series power")
-        result = TruncSeries.one(self.ring, self.order, self.nvars)
-        for _ in range(k):
-            result = result * self
-        return result
+        def products():
+            for e1, c1 in self.coeffs.items():
+                room = n - sum(e1)
+                for e2, d2, c2 in rhs:
+                    if d2 <= room:
+                        yield tuple(x + y for x, y in zip(e1, e2)), c1 * c2
+
+        return TruncSeries(self.ring, n, self.nvars, _collect(self.ring, products()))
 
     def constant_term(self):
         return self.coeff((0,) * self.nvars)
 
     def has_zero_constant_term(self) -> bool:
-        return self.constant_term() == self.ring.zero()
+        return not self.constant_term()
 
     # -- composition -----------------------------------------------------------
 
@@ -222,8 +200,7 @@ class TruncSeries:
         g0 = inners[0]
         n = min([self.order] + [g.order for g in inners])
         for g in inners:
-            if g.ring is not self.ring:
-                raise ValueError("ring mismatch in composition")
+            _same_ring(self, g)
             if g.nvars != g0.nvars:
                 raise ValueError("inner series arity mismatch")
             if not g.has_zero_constant_term():
@@ -241,17 +218,20 @@ class TruncSeries:
             for _ in range(max_exp[i]):
                 ps.append(ps[-1] * gt)
             powers.append(ps)
-        out = TruncSeries.zero(self.ring, n, nv)
-        for e, c in sorted(self.coeffs.items()):
-            if sum(e) > n:
-                # a monomial of degree d contributes starting at degree d
-                continue
-            term = TruncSeries.one(self.ring, n, nv)
-            for i, x in enumerate(e):
-                if x:
-                    term = term * powers[i][x]
-            out = out + term.scale_left(c)
-        return out
+
+        def terms():
+            for e, c in sorted(self.coeffs.items()):
+                if sum(e) > n:
+                    # a monomial of degree d contributes starting at degree d
+                    continue
+                term = TruncSeries.one(self.ring, n, nv)
+                for i, x in enumerate(e):
+                    if x:
+                        term = term * powers[i][x]
+                for f, t in term.coeffs.items():
+                    yield f, c * t
+
+        return TruncSeries(self.ring, n, nv, _collect(self.ring, terms()))
 
     def comp_inverse(self) -> "TruncSeries":
         """Compositional inverse g with self(g(T)) = T (degree by degree).
@@ -261,14 +241,14 @@ class TruncSeries:
         """
         if self.nvars != 1:
             raise ValueError("compositional inverse needs a 1-variable series")
-        one, zero = self.ring.one(), self.ring.zero()
-        if self.coeff(0) != zero or self.coeff(1) != one:
+        one = self.ring.one()
+        if self.coeff(0) or self.coeff(1) != one:
             raise ValueError("compositional inverse needs the form T + O(T^2)")
         g = {(1,): one}
         for k in range(2, self.order + 1):
             partial = TruncSeries(self.ring, k, 1, g)
             val = self.truncate(k).compose(partial).coeff(k)
-            if val != zero:
+            if val:
                 g[(k,)] = -val
         return TruncSeries(self.ring, self.order, 1, g)
 
@@ -284,15 +264,15 @@ class TruncSeries:
         one = self.ring.one()
         if self.constant_term() != one:
             raise ValueError("mult_inverse needs constant term 1")
+        coeffs = self.coeffs
         inv = {(0,): one}
         for k in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for j in range(1, k + 1):
-                u = self.coeff(j)
-                v = inv.get((k - j,))
-                if u != self.ring.zero() and v is not None:
-                    acc = acc + u * v
-            if acc != self.ring.zero():
+            acc = self.ring.sum(
+                coeffs[(j,)] * inv[(k - j,)]
+                for j in range(1, k + 1)
+                if (j,) in coeffs and (k - j,) in inv
+            )
+            if acc:
                 inv[(k,)] = -acc
         return TruncSeries(self.ring, self.order, 1, inv)
 
@@ -318,24 +298,31 @@ class TruncSeries:
         """exp of a series with zero constant term."""
         if not self.has_zero_constant_term():
             raise ValueError("exp needs zero constant term")
-        out = TruncSeries.one(self.ring, self.order, self.nvars)
-        term = TruncSeries.one(self.ring, self.order, self.nvars)
-        for k in range(1, self.order + 1):
-            term = term * self
-            out = out + term.scale(Fraction(1, factorial(k)))
-        return out
+        weights = [Fraction(1, factorial(k)) for k in range(self.order + 1)]
+        return self._power_sum(self, weights)
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term 1."""
         if self.constant_term() != self.ring.one():
             raise ValueError("log needs constant term 1")
         u = self - TruncSeries.one(self.ring, self.order, self.nvars)
-        out = TruncSeries.zero(self.ring, self.order, self.nvars)
-        term = TruncSeries.one(self.ring, self.order, self.nvars)
-        for k in range(1, self.order + 1):
-            term = term * u
-            out = out + term.scale(Fraction((-1) ** (k + 1), k))
-        return out
+        weights = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.order + 1)]
+        return self._power_sum(u, weights)
+
+    def _power_sum(self, base: "TruncSeries", weights: list) -> "TruncSeries":
+        """sum_k weights[k] * base^k for k = 0..order, summed in one pass."""
+
+        def terms():
+            power = TruncSeries.one(self.ring, self.order, self.nvars)
+            for k, w in enumerate(weights):
+                if k:
+                    power = power * base
+                if w:
+                    for e, c in power.coeffs.items():
+                        yield e, c * w
+
+        out = _collect(self.ring, terms())
+        return TruncSeries(self.ring, self.order, self.nvars, out)
 
     def map_coeffs(self, fn, ring=None) -> "TruncSeries":
         """Apply ``fn`` to every coefficient (optionally into another ring)."""

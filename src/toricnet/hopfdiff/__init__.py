@@ -8,7 +8,7 @@ fgl:      the formal group law Z(Z^{<-1>}(x) + Z^{<-1>}(y)) over the free
 beta:     the one-parameter deformation exp(beta * Psi(T)).
 """
 
-from .beta import BetaNCF, BetaNCFRing, beta_deform
+from .beta import BetaNCF, beta_deform
 from .bfk import (
     ab_bfk_to_ln,
     bfk_antipode,
@@ -53,7 +53,6 @@ from .ln import (
 
 __all__ = [
     "BetaNCF",
-    "BetaNCFRing",
     "ab_bfk_to_ln",
     "b_series",
     "beta_deform",

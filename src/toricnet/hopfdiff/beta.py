@@ -56,7 +56,8 @@ class BetaNCF(Terms):
         value = Fraction(value)
         out: dict = {}
         for (k, w), c in self.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c * value**k
+            t = c * value**k
+            out[w] = out[w] + t if w in out else t
         return NCF(out)
 
     def __mul__(self, other):
@@ -66,22 +67,9 @@ class BetaNCF(Terms):
         for (k1, w1), c1 in self.terms.items():
             for (k2, w2), c2 in other.terms.items():
                 key = (k1 + k2, w1 + w2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
         return BetaNCF(out)
-
-
-class BetaNCFRing:
-    """Ring tag so TruncSeries can take BetaNCF coefficients."""
-
-    name = "BetaNCF"
-
-    @staticmethod
-    def one():
-        return BetaNCF.one()
-
-    @staticmethod
-    def zero():
-        return BetaNCF.zero()
 
 
 def beta_deform(beta, order: int) -> TruncSeries:
@@ -97,7 +85,7 @@ def beta_deform(beta, order: int) -> TruncSeries:
     if isinstance(beta, str):
         if beta != "beta":
             raise InputError(f"formal parameter must be named 'beta', got {beta!r}")
-        lifted = psi.map_coeffs(lambda c: BetaNCF.from_ncf(c, beta_exp=1), ring=BetaNCFRing)
+        lifted = psi.map_coeffs(lambda c: BetaNCF.from_ncf(c, beta_exp=1), ring=BetaNCF)
         return lifted.exp()
     scaled = psi.scale(Fraction(beta))
     return scaled.exp()

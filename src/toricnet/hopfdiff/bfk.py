@@ -99,11 +99,11 @@ def bfk_coassociativity_gap(x: NCF) -> dict:
     out: dict = {}
     for (w1, w2), c in d.terms.items():
         for (u, v), e in bfk_coproduct_word(w1).terms.items():
-            key = (u, v, w2)
-            out[key] = out.get(key, Fraction(0)) + c * e
+            key, t = (u, v, w2), c * e
+            out[key] = out[key] + t if key in out else t
         for (u, v), e in bfk_coproduct_word(w2).terms.items():
-            key = (w1, u, v)
-            out[key] = out.get(key, Fraction(0)) - c * e
+            key, t = (w1, u, v), c * e
+            out[key] = out[key] - t if key in out else -t
     return {k: v for k, v in out.items() if v}
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import InputError
-from ..exactcore import PolyRing, SparsePoly, TruncSeries
+from ..exactcore import SparsePoly, TruncSeries
 from .ln import ln_coproduct_gen, t_series
 
 
@@ -28,7 +28,7 @@ def log_series(order: int) -> TruncSeries:
     coeffs = {(1,): SparsePoly.one()}
     for n in range(2, order + 1):
         coeffs[(n,)] = SparsePoly.monomial({f"CP{n - 1}": 1}, Fraction(1, n))
-    return TruncSeries(PolyRing, order, 1, coeffs)
+    return TruncSeries(SparsePoly, order, 1, coeffs)
 
 
 def b_series(order: int, prefix: str = "b") -> TruncSeries:

@@ -19,8 +19,8 @@ from collections import Counter
 from functools import lru_cache
 
 from ..errors import InputError
-from ..exactcore import PolyRing, SparsePoly, TruncSeries
-from ..ncsf import NCFRing, z_series
+from ..exactcore import SparsePoly, TruncSeries
+from ..ncsf import NCF, z_series
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +48,8 @@ def swap_axes(f: TruncSeries) -> TruncSeries:
 
 def fgl_unit_ok(order: int) -> bool:
     f = fgl_over_N(order)
-    x = TruncSeries.var(NCFRing, order, index=0, nvars=2)
-    y = TruncSeries.var(NCFRing, order, index=1, nvars=2)
+    x = TruncSeries.var(NCF, order, index=0, nvars=2)
+    y = TruncSeries.var(NCF, order, index=1, nvars=2)
     return set_axis_zero(f, 1) == x and set_axis_zero(f, 0) == y
 
 
@@ -66,17 +66,14 @@ def fgl_associativity_defect(order: int):
     defect is 2(Z_{112} - Z_{121}) at x*y*z^3.
     """
     f = fgl_over_N(order)
-    x = TruncSeries.var(NCFRing, order, index=0, nvars=3)
-    y = TruncSeries.var(NCFRing, order, index=1, nvars=3)
-    z3 = TruncSeries.var(NCFRing, order, index=2, nvars=3)
+    x = TruncSeries.var(NCF, order, index=0, nvars=3)
+    y = TruncSeries.var(NCF, order, index=1, nvars=3)
+    z3 = TruncSeries.var(NCF, order, index=2, nvars=3)
     left = f.compose_many([f.compose_many([x, y]), z3])
     right = f.compose_many([x, f.compose_many([y, z3])])
     diff = left - right
-    for e in sorted(diff.coeffs):
-        c = diff.coeffs[e]
-        if c != NCFRing.zero():
-            return e, c
-    return None
+    e = min(diff.coeffs, default=None)
+    return None if e is None else (e, diff.coeffs[e])
 
 
 def fgl_abelianized(order: int, prefix: str = "b") -> TruncSeries:
@@ -89,7 +86,7 @@ def fgl_abelianized(order: int, prefix: str = "b") -> TruncSeries:
             for w, c in coeff.terms.items()
         )
 
-    return f.map_coeffs(ab, ring=PolyRing)
+    return f.map_coeffs(ab, ring=SparsePoly)
 
 
 def commutative_fgl(order: int, prefix: str = "b") -> TruncSeries:
@@ -97,7 +94,7 @@ def commutative_fgl(order: int, prefix: str = "b") -> TruncSeries:
     coeffs = {(1,): SparsePoly.one()}
     for i in range(1, order):
         coeffs[(i + 1,)] = SparsePoly.variable(f"{prefix}{i}")
-    b = TruncSeries(PolyRing, order, 1, coeffs)
+    b = TruncSeries(SparsePoly, order, 1, coeffs)
     u = b.comp_inverse()
     inner = u.embed(2, [0]) + u.embed(2, [1])
     return b.compose(inner)

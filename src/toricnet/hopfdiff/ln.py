@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..exactcore import PolyRing, SparsePoly, TruncSeries
+from ..exactcore import SparsePoly, TruncSeries
 
 
 def t_series(order: int, prefix: str = "t", primes: int = 0) -> TruncSeries:
@@ -22,7 +22,7 @@ def t_series(order: int, prefix: str = "t", primes: int = 0) -> TruncSeries:
     coeffs = {(1,): SparsePoly.one()}
     for i in range(1, order):
         coeffs[(i + 1,)] = SparsePoly.variable(f"{prefix}{i}{mark}")
-    return TruncSeries(PolyRing, order, 1, coeffs)
+    return TruncSeries(SparsePoly, order, 1, coeffs)
 
 
 def _prime_map(poly: SparsePoly, shift: int) -> SparsePoly:

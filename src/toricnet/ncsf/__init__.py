@@ -3,9 +3,7 @@
 from .compositions import compositions, partitions, to_partition, weight
 from .nsym import (
     NCF,
-    NCFRing,
     TensorNCF,
-    TensorNCFRing,
     cartier,
     nsf_coproduct,
     nsf_product,
@@ -34,9 +32,7 @@ __all__ = [
     "to_partition",
     "weight",
     "NCF",
-    "NCFRing",
     "TensorNCF",
-    "TensorNCFRing",
     "cartier",
     "nsf_coproduct",
     "nsf_product",

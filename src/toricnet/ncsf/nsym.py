@@ -2,9 +2,8 @@
 
 ``NCF`` is the free associative Q-algebra on generators Z_1, Z_2, ...; a word
 (i_1, ..., i_k) stands for the product Z_{i_1} ... Z_{i_k} and has weight
-i_1 + ... + i_k. ``TensorNCF`` is its tensor square. Both plug into
-``TruncSeries`` as coefficient rings through the tags ``NCFRing`` and
-``TensorNCFRing``.
+i_1 + ... + i_k. ``TensorNCF`` is its tensor square. Either class is itself
+a ``TruncSeries`` coefficient ring.
 
 The coproduct here is the one dual to the quasi-shuffle product on the
 monomial quasisymmetric basis: Delta Z_i = sum_{j+k=i} Z_j (x) Z_k with
@@ -79,20 +78,6 @@ class NCF(Terms):
         return max((sum(w) for w in self.terms), default=0)
 
 
-class NCFRing:
-    """Ring tag so TruncSeries can take NCF coefficients."""
-
-    name = "NCF"
-
-    @staticmethod
-    def one():
-        return NCF.one()
-
-    @staticmethod
-    def zero():
-        return NCF.zero()
-
-
 def _check_pair(key) -> tuple:
     w1, w2 = key
     return (_check_word(w1), _check_word(w2))
@@ -136,18 +121,6 @@ class TensorNCF(Terms):
         return TensorNCF({(w2, w1): c for (w1, w2), c in self.terms.items()})
 
 
-class TensorNCFRing:
-    name = "NCF(x)NCF"
-
-    @staticmethod
-    def one():
-        return TensorNCF.one()
-
-    @staticmethod
-    def zero():
-        return TensorNCF.zero()
-
-
 # -- structure maps dual to the quasi-shuffle product ------------------------
 
 
@@ -178,7 +151,7 @@ def nsf_coproduct(x: NCF) -> TensorNCF:
 
 
 def z_series(order: int, normalization: str = "grouplike") -> TruncSeries:
-    """The generating series of the Z_i over NCFRing.
+    """The generating series of the Z_i over NCF.
 
     grouplike: 1 + Z_1 T + Z_2 T^2 + ...   (multiplicative contexts)
     diffeo:    T + Z_1 T^2 + Z_2 T^3 + ... (compositional contexts)
@@ -190,14 +163,14 @@ def z_series(order: int, normalization: str = "grouplike") -> TruncSeries:
         coeffs = {(k,): NCF.gen(k - 1) for k in range(1, order + 1)}
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return TruncSeries(NCFRing, order, 1, coeffs)
+    return TruncSeries(NCF, order, 1, coeffs)
 
 
 def sigma_series(n_max: int) -> TruncSeries:
     """Solution of Sigma(T) * Z(-T) = 1 with the grouplike normalization."""
     z = z_series(n_max)
     z_neg = TruncSeries(
-        NCFRing, n_max, 1, {e: c * Fraction((-1) ** e[0]) for e, c in z.coeffs.items()}
+        NCF, n_max, 1, {e: c * Fraction((-1) ** e[0]) for e, c in z.coeffs.items()}
     )
     return z_neg.mult_inverse()
 
@@ -211,7 +184,7 @@ def psi_series(n_max: int, side: str = "right") -> TruncSeries:
     z = z_series(n_max + 1)
     zp = z.derivative()  # order n_max
     zinv = z.truncate(n_max).mult_inverse()
-    t = TruncSeries.var(NCFRing, n_max)
+    t = TruncSeries.var(NCF, n_max)
     if side == "right":
         return t * zp * zinv
     if side == "left":

@@ -63,7 +63,8 @@ def qsym_product(x: QSF, y: QSF) -> QSF:
         for b, cb in y.terms.items():
             c = ca * cb
             for comp, mult in _quasi_shuffle(a, b):
-                out[comp] = out.get(comp, Fraction(0)) + c * mult
+                t = c * mult
+                out[comp] = out[comp] + t if comp in out else t
     return QSF(out)
 
 

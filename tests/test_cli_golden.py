@@ -48,9 +48,19 @@ CASES = {
     "hopf_antipode_ln": ["hopf", "antipode", "--algebra", "ln", "--degree", "4"],
     "hopf_verify_bfk": ["hopf", "verify", "--algebra", "bfk", "--max-weight", "4"],
     "hopf_fgl": ["hopf", "fgl", "--order", "6"],
+    "hopf_fgl_order8": ["hopf", "fgl", "--order", "8"],
     "hopf_coaction": ["hopf", "coaction", "--target", "b-series", "--degree", "3"],
+    "hopf_coaction_log_generators": [
+        "hopf", "coaction", "--target", "log-generators", "--degree", "5"
+    ],
+    "hopf_antipode_ln_deg7": ["hopf", "antipode", "--algebra", "ln", "--degree", "7"],
     "freeprob_ncseries": ["freeprob", "ncseries", "--order", "4"],
     "freeprob_free": ["freeprob", "free", "--moments", "1,0,1,0,2,0,5"],
+    "freeprob_free_cumulants": ["freeprob", "free", "--cumulants", "0,1,0,1"],
+    "freeprob_classical": ["freeprob", "classical", "--moments", "1,0,1,0,3,0,15"],
+    "freeprob_hirzebruch": [
+        "freeprob", "hirzebruch", "--log", "1,1/2,1/6,1/24", "--order", "5"
+    ],
     "toric_charnum_cp2": ["toric", "charnum", "--quasitoric", "@cp2.json"],
     "toric_charnum_prism": ["toric", "charnum", "--polytope", "@prism3.json"],
     "toric_charnum_cp2xcp2_twisted": ["toric", "charnum", "--quasitoric", "@cp2xcp2_twisted.json"],

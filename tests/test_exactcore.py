@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from toricnet.exactcore import (
     solve_rational,
     transpose,
 )
-from toricnet.ncsf import NCF, NCFRing
+from toricnet.hopfdiff import BetaNCF
+from toricnet.ncsf import NCF
 
 x = SparsePoly.variable("x")
 y = SparsePoly.variable("y")
@@ -161,7 +163,7 @@ class TestTruncSeries:
 
     def test_compose_free_coefficient_order(self):
         # outer coefficients multiply from the left: Z1 lands before Z2
-        t = TruncSeries.var(NCFRing, 4)
+        t = TruncSeries.var(NCF, 4)
         f = t + (t * t).scale_left(NCF.gen(1))
         g = t + (t * t).scale_left(NCF.gen(2))
         out = f.compose(g)
@@ -176,11 +178,9 @@ class TestTruncSeries:
         assert (t + t * t).compose(inv) == t
 
     def test_comp_inverse_symbolic(self):
-        from toricnet.exactcore import PolyRing
-
         t1 = SparsePoly.variable("t1")
         t2 = SparsePoly.variable("t2")
-        t = TruncSeries.var(PolyRing, 3)
+        t = TruncSeries.var(SparsePoly, 3)
         f = t + (t * t).scale_left(t1) + (t * t * t).scale_left(t2)
         inv = f.comp_inverse()
         assert inv.coeffs[(2,)] == -t1
@@ -218,3 +218,95 @@ class TestTruncSeries:
         one = TruncSeries.one(QRing, 3)
         with pytest.raises(ValueError):
             one.exp()
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _word(rng):
+    return tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 2)))
+
+
+# a seeded random element of each coefficient ring; NCF and BetaNCF words in
+# two letters, so coefficients do not commute
+RANDOM_ELEMENT = {
+    QRing: _rational,
+    SparsePoly: lambda rng: SparsePoly.sum(
+        SparsePoly.monomial({"x": rng.randint(0, 2), "y": rng.randint(0, 1)}, _rational(rng))
+        for _ in range(2)
+    ),
+    NCF: lambda rng: NCF({_word(rng): _rational(rng) for _ in range(2)}),
+    BetaNCF: lambda rng: BetaNCF(
+        {(rng.randint(0, 1), _word(rng)): _rational(rng) for _ in range(2)}
+    ),
+}
+RINGS = list(RANDOM_ELEMENT)
+ORDER = 5
+
+
+def _random_series(ring, rng, low):
+    """sum_{k=low}^{ORDER} c_k T^k with seeded random coefficients."""
+    element = RANDOM_ELEMENT[ring]
+    return TruncSeries(ring, ORDER, 1, {(k,): element(rng) for k in range(low, ORDER + 1)})
+
+
+def _expand(outer, inner, ring, order):
+    """sum_e c_e * inner^e over plain {degree: coefficient} dicts, c_e on the left."""
+    power = {0: ring.one()}
+    out = {}
+    for e in range(order + 1):
+        if e:
+            nxt = {}
+            for i, a in power.items():
+                for j, b in inner.items():
+                    if i + j <= order:
+                        nxt[i + j] = nxt[i + j] + a * b if i + j in nxt else a * b
+            power = nxt
+        if e in outer:
+            for k, p in power.items():
+                out[k] = out[k] + outer[e] * p if k in out else outer[e] * p
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.__name__)
+class TestSeriesOverEveryRing:
+    def test_log_exp_roundtrip(self, ring, seed):
+        u = TruncSeries.one(ring, ORDER) + _random_series(ring, random.Random(seed), 1)
+        assert u.log().exp() == u
+
+    def test_mult_inverse_is_two_sided(self, ring, seed):
+        u = TruncSeries.one(ring, ORDER) + _random_series(ring, random.Random(seed), 1)
+        one = TruncSeries.one(ring, ORDER)
+        inv = u.mult_inverse()
+        assert u * inv == one
+        assert inv * u == one
+
+    def test_comp_inverse_is_two_sided(self, ring, seed):
+        t = TruncSeries.var(ring, ORDER)
+        g = t + _random_series(ring, random.Random(seed), 2)
+        inv = g.comp_inverse()
+        assert g.compose(inv) == t
+        assert inv.compose(g) == t
+
+    def test_compose_matches_plain_expansion(self, ring, seed):
+        rng = random.Random(seed)
+        f = _random_series(ring, rng, 0)
+        g = _random_series(ring, rng, 1)
+        expected = _expand(
+            {k: c for (k,), c in f.coeffs.items()},
+            {k: c for (k,), c in g.coeffs.items()},
+            ring,
+            ORDER,
+        )
+        assert f.compose(g).coeffs == {(k,): c for k, c in expected.items()}
+
+    def test_mixing_rings_names_both(self, ring, seed):
+        other = RINGS[(RINGS.index(ring) + 1 + seed % 3) % len(RINGS)]
+        a, b = TruncSeries.var(ring, ORDER), TruncSeries.var(other, ORDER)
+        for op in (lambda: a + b, lambda: a * b, lambda: a.compose(b)):
+            with pytest.raises(ValueError) as info:
+                op()
+            assert ring.__name__ in str(info.value)
+            assert other.__name__ in str(info.value)
