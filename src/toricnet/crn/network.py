@@ -156,11 +156,7 @@ def stoichiometric_matrix(net: Network) -> list[list[Fraction]]:
 
 
 def stoichiometric_rank(net: Network) -> int:
-    rows = []
-    for r in net.reactions:
-        src, tgt = net.complexes[r.source], net.complexes[r.target]
-        rows.append([Fraction(t - s) for s, t in zip(src, tgt)])
-    return rank(rows)
+    return rank(stoichiometric_matrix(net))
 
 
 def cayley_matrix(net: Network) -> list[list[int]]:

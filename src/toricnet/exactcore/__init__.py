@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rationals, integer/rational linear algebra,
-sparse polynomials, and truncated power series over pluggable rings.
+sparse polynomials on the shared ``Terms`` core, and truncated power series
+over pluggable rings.
 
 The rational scalar type is ``fractions.Fraction`` (re-exported as
 ``Rational``): arbitrary precision, always normalized with positive

@@ -25,8 +25,10 @@ order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import factorial
+from operator import mul
 
 
 class QRing:
@@ -211,23 +213,22 @@ class TruncSeries:
         for e in self.coeffs:
             for i, x in enumerate(e):
                 max_exp[i] = max(max_exp[i], x)
+        # powers[i][x - 1] is inners[i] to the power x
         powers = []
         for i, g in enumerate(inners):
-            gt = g.truncate(n) if g.order != n else g
-            ps = [TruncSeries.one(self.ring, n, nv)]
-            for _ in range(max_exp[i]):
-                ps.append(ps[-1] * gt)
+            ps = [g.truncate(n) if g.order != n else g]
+            for _ in range(max_exp[i] - 1):
+                ps.append(ps[-1] * ps[0])
             powers.append(ps)
+        one = TruncSeries.one(self.ring, n, nv)
 
         def terms():
             for e, c in sorted(self.coeffs.items()):
                 if sum(e) > n:
                     # a monomial of degree d contributes starting at degree d
                     continue
-                term = TruncSeries.one(self.ring, n, nv)
-                for i, x in enumerate(e):
-                    if x:
-                        term = term * powers[i][x]
+                factors = [powers[i][x - 1] for i, x in enumerate(e) if x]
+                term = reduce(mul, factors) if factors else one
                 for f, t in term.coeffs.items():
                     yield f, c * t
 
@@ -316,7 +317,7 @@ class TruncSeries:
             power = TruncSeries.one(self.ring, self.order, self.nvars)
             for k, w in enumerate(weights):
                 if k:
-                    power = power * base
+                    power = base if k == 1 else power * base
                 if w:
                     for e, c in power.coeffs.items():
                         yield e, c * w

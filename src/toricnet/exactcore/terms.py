@@ -2,9 +2,10 @@
 
 ``Terms`` is the module structure shared by the sparse algebras: words
 (``NCF``), pairs of words (``TensorNCF``), compositions (``QSF``),
-partitions (``SymF``) and (beta power, word) pairs (``BetaNCF``). A subclass
-supplies ``_check_key`` and its ring product in ``__mul__``; everything
-linear lives here.
+partitions (``SymF``), (beta power, word) pairs (``BetaNCF``) and monomials
+(``SparsePoly``). A subclass supplies ``_check_key`` and its ring product in
+``__mul__``; everything linear lives here. Coefficients are ``Fraction``:
+an int is converted, anything else is refused with ``TypeError``.
 
 Add many elements with ``X.sum(...)``: it merges every summand into one dict
 and builds the result once, while a loop of ``out = out + term`` copies
@@ -32,7 +33,10 @@ class Terms:
         check = self._check_key
         clean = {}
         for k, c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                if not isinstance(c, int):
+                    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+                c = Fraction(c)
             if c:
                 clean[check(k)] = c
         object.__setattr__(self, "terms", clean)

@@ -83,8 +83,8 @@ def ln_convolution(p: SparsePoly, left_antipode: bool) -> SparsePoly:
 
 def ln_is_homogeneous(p: SparsePoly, weight: int) -> bool:
     """All monomials of common weight, with t_i and its primes weighing i."""
-    for e in p.terms:
-        if sum(_gen_index(name) * x for name, x in zip(p.vars, e)) != weight:
+    for m in p.terms:
+        if sum(_gen_index(name) * x for name, x in m) != weight:
             return False
     return True
 

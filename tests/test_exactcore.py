@@ -22,7 +22,7 @@ from toricnet.exactcore import (
     transpose,
 )
 from toricnet.hopfdiff import BetaNCF
-from toricnet.ncsf import NCF
+from toricnet.ncsf import NCF, QSF, SymF, TensorNCF
 
 x = SparsePoly.variable("x")
 y = SparsePoly.variable("y")
@@ -310,3 +310,161 @@ class TestSeriesOverEveryRing:
                 op()
             assert ring.__name__ in str(info.value)
             assert other.__name__ in str(info.value)
+
+
+# -- SparsePoly against a plain-dict oracle ----------------------------------
+#
+# The oracle keys a polynomial by its exponent vector over NAMES, so it needs
+# no monomial format of its own; it shares no code with toricnet.
+
+XYZ = ("x", "y", "z")
+KS = ("k1", "k2", "k3", "k4")
+NAMES = tuple(sorted(XYZ + KS))
+UNIT = (0,) * len(NAMES)
+VARIABLE_SETS = [XYZ, KS, ("k2", "x", "z"), ("k1", "k4", "y")]
+
+oracle_coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _oracle_dicts(max_size):
+    def over(names):
+        exps = st.tuples(*[st.integers(0, 2) if n in names else st.just(0) for n in NAMES])
+        return st.dictionaries(exps, oracle_coeffs, max_size=max_size)
+
+    return st.sampled_from(VARIABLE_SETS).flatmap(over)
+
+
+oracle_polys = _oracle_dicts(4)
+substitution_values = st.dictionaries(
+    st.sampled_from(NAMES), st.one_of(st.integers(-2, 2), _oracle_dicts(2)), max_size=3
+)
+
+
+def _clean(a):
+    return {e: c for e, c in a.items() if c}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _clean(out)
+
+
+def _o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _clean(out)
+
+
+def _o_pow(a, n):
+    out = {UNIT: Fraction(1)}
+    for _ in range(n):
+        out = _o_mul(out, a)
+    return out
+
+
+def _o_substitute(a, values):
+    total = {}
+    for e, c in a.items():
+        term = {tuple(0 if n in values else i for n, i in zip(NAMES, e)): c}
+        for n, i in zip(NAMES, e):
+            if i and n in values:
+                v = values[n]
+                v = v if isinstance(v, dict) else {UNIT: Fraction(v)}
+                term = _o_mul(term, _o_pow(v, i))
+        total = _o_add(total, term)
+    return total
+
+
+def _o_render(a):
+    if not a:
+        return "0"
+    parts = []
+    for e, c in sorted(a.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        body = "*".join(n if i == 1 else f"{n}^{i}" for n, i in zip(NAMES, e) if i)
+        if not body:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(body if c == 1 else "-" + body)
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _poly(a):
+    return SparsePoly({tuple((n, i) for n, i in zip(NAMES, e) if i): c for e, c in a.items()})
+
+
+def _as_dict(p):
+    return {tuple(dict(m).get(n, 0) for n in NAMES): c for m, c in p.terms.items()}
+
+
+@settings(deadline=None, max_examples=80)
+@given(oracle_polys, oracle_polys)
+def test_sparse_poly_ring_matches_dict_oracle(a, b):
+    p, q = _poly(a), _poly(b)
+    assert _as_dict(p) == _clean(a)
+    assert _as_dict(p + q) == _o_add(a, b)
+    assert _as_dict(p - q) == _o_add(a, {e: -c for e, c in b.items()})
+    assert _as_dict(p * q) == _o_mul(a, b)
+    assert p.render() == _o_render(_clean(a))
+    assert (p * q).render() == _o_render(_o_mul(a, b))
+    assert p.vars == tuple(n for i, n in enumerate(NAMES) if any(e[i] for e in _clean(a)))
+    for e in list(a) + list(b):
+        assert p.coefficient(dict(zip(NAMES, e))) == a.get(e, 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(oracle_polys, st.integers(0, 3))
+def test_sparse_poly_power_matches_dict_oracle(a, n):
+    power = _poly(a) ** n
+    assert _as_dict(power) == _o_pow(_clean(a), n)
+    assert power.render() == _o_render(_o_pow(_clean(a), n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(oracle_polys, substitution_values)
+def test_sparse_poly_substitute_matches_dict_oracle(a, values):
+    lib_values = {n: _poly(v) if isinstance(v, dict) else v for n, v in values.items()}
+    image = _poly(a).substitute(lib_values)
+    assert _as_dict(image) == _o_substitute(_clean(a), values)
+    assert image.render() == _o_render(_o_substitute(_clean(a), values))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (("y", 1), ("x", 1)),
+        (("x", 1), ("x", 2)),
+        (("x", 0),),
+        (("x", -1),),
+        ((1, 1),),
+    ],
+    ids=["unsorted", "duplicate", "zero-exponent", "negative-exponent", "non-str-name"],
+)
+def test_bad_monomial_keys_raise(key):
+    with pytest.raises(ValueError):
+        SparsePoly({key: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: NCF({(1,): c}),
+        lambda c: TensorNCF({((1,), (2,)): c}),
+        lambda c: QSF({(1,): c}),
+        lambda c: SymF("h", {(1,): c}),
+        lambda c: BetaNCF({(0, (1,)): c}),
+        lambda c: SparsePoly({(("x", 1),): c}),
+    ],
+    ids=["NCF", "TensorNCF", "QSF", "SymF", "BetaNCF", "SparsePoly"],
+)
+def test_float_coefficients_raise(build):
+    assert build(1) == build(Fraction(1))
+    assert all(type(c) is Fraction for c in build(1).terms.values())
+    with pytest.raises(TypeError):
+        build(0.1)
