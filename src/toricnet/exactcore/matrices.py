@@ -87,10 +87,13 @@ def _det_bareiss(a: Matrix):
     return sign * M[n - 1][n - 1]
 
 
-def _det_cofactor(a: Matrix, cap: int = 6):
+COFACTOR_CAP = 6
+
+
+def _det_cofactor(a: Matrix):
     n = len(a)
-    if n > cap:
-        raise ValueError(f"polynomial determinant supported up to size {cap}, got {n}")
+    if n > COFACTOR_CAP:
+        raise ValueError(f"polynomial determinant supported up to size {COFACTOR_CAP}, got {n}")
     rows = [[x if isinstance(x, SparsePoly) else SparsePoly.const(x) for x in row] for row in a]
     memo: dict = {}
 

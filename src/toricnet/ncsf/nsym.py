@@ -68,9 +68,6 @@ class NCF(Terms):
                 out[w] = out[w] + c if w in out else c
         return NCF(out)
 
-    def is_homogeneous(self, wt: int) -> bool:
-        return all(sum(w) == wt for w in self.terms)
-
     def graded_piece(self, wt: int) -> "NCF":
         return NCF({w: c for w, c in self.terms.items() if sum(w) == wt})
 

@@ -93,9 +93,6 @@ class SymF(Terms):
     def graded_piece(self, n: int) -> "SymF":
         return SymF(self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == n})
 
-    def is_homogeneous(self, n: int) -> bool:
-        return all(sum(lam) == n for lam in self.terms)
-
 
 def _merge_mul(x: SymF, y: SymF) -> SymF:
     # product in a multiplicative basis: concatenate and resort the parts

@@ -119,9 +119,6 @@ class MxiClass:
     def to_ncf(self) -> NCF:
         return NCF({comp: val for comp, val in self.table if val and len(comp) > 0})
 
-    def support_weights(self) -> list[int]:
-        return sorted({sum(comp) for comp, _ in self.table})
-
 
 def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> ClassDict:
     """sum over i_1 < ... < i_l of prod v_{i_j}^{alpha_j}."""

@@ -5,31 +5,33 @@ rows of Lambda) pairs with the fundamental class through a functional phi on
 face-supported degree-n monomials (Davis-Januszkiewicz; Buchstaber-Panov,
 *Toric Topology*, ch. 7 and 9).
 
-phi is found by straightening. On a facet F the minor Lambda_F is unimodular,
-so each v_i with i in F is the integer combination sum_{k not in F}
-A_F[i, k] v_k, A_F = -Lambda_F^{-1} Lambda_{F^c}. A degree-n monomial on a
-face sigma that is not a facet has some exponent e_i >= 2; rewriting one
-factor v_i through a facet F containing sigma enlarges the support, and terms
-on non-faces drop out, so the recursion ends on squarefree facet monomials.
-Each step is a multiple of a relation row, so phi is fixed by its values on
-the facets, and those values lie in the kernel of the system with one column
-per facet whose rows are the relation rows mu * (sum_i lam[j][i] v_i),
-straightened. That kernel is isomorphic to the kernel of the relations on
-all face monomials; it is checked to be one-dimensional and pinned by
-phi(v_sigma0) = sign(det Lambda_sigma0) on the lexicographically least
-facet. On every other facet phi(v_sigma) = o(sigma) * sign(det Lambda_sigma)
-must then come out, which is re-checked rather than assumed.
+phi comes from the fixed-point (localization) formula. Each facet sigma of K
+is a fixed point of the torus action; its tangent weights w_{sigma,i}, i in
+sigma, are the rows of Lambda_sigma^{-1}, read as linear forms in t, and
+v_i restricts there to w_{sigma,i} for i in sigma and to 0 otherwise. So
+
+    phi(v^e) = sum over facets sigma containing supp e of
+               eps(sigma) * prod_i w_{sigma,i}^{e_i} / prod_{j in sigma} w_{sigma,j},
+
+with eps(sigma) = flip * o(sigma) * det Lambda_sigma: o the facet orientation
+(+1 on the lexicographically least facet), det = +-1, and flip = -1 for a
+reversed orientation. The sum is a rational function of degree 0 in t that
+is in fact a constant, so it is evaluated at one integer point t with no
+weight zero, as integers over one common denominator. Two checks guard it:
+the integral of 1, sum eps(sigma) / prod_j w_{sigma,j}, must be 0, and every
+phi must be an integer. Either failing raises InternalError with the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
-from math import gcd
+from itertools import combinations, combinations_with_replacement, compress, count
+from math import lcm, prod
+from operator import mul
 
 from ..errors import InputError, InternalError
-from ..exactcore import ff_determinant, right_kernel_rational
+from ..exactcore import ff_determinant
 from .complexes import SimplicialComplex, ValidityReport, orientation_signs, sphere_battery
 
 Monomial = tuple[int, ...]  # exponents, length m
@@ -84,39 +86,14 @@ class QuasitoricData:
         return validate_quasitoric(self.complex, self.lam)
 
 
-def _face_monomials(k: SimplicialComplex, degree: int) -> list[Monomial]:
-    """Degree-`degree` monomials whose support is a face, sorted."""
-    out: set = set()
-    faces = sorted(f for f in k.faces() if 0 < len(f) <= degree)
+def _inverse_rows(lam, facet: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """det Lambda_F and the rows of Lambda_F^{-1}, one per vertex of F in order.
 
-    def split(total: int, parts: int):
-        # positive compositions of total into exactly `parts` parts
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in split(total - first, parts - 1):
-                yield (first,) + rest
-
-    for face in faces:
-        for comp in split(degree, len(face)):
-            e = [0] * k.m
-            for v, c in zip(face, comp):
-                e[v - 1] = c
-            out.add(tuple(e))
-    return sorted(out)
-
-
-def _straightening(lam, facet: tuple[int, ...], m: int) -> tuple[int, dict]:
-    """det Lambda_F and the rows of A_F = -Lambda_F^{-1} Lambda_{F^c}.
-
-    Returns (det, {i: [(k, A_F[i, k]) for k outside F with A_F[i, k] != 0]})
-    with 0-based vertex indices. det = +-1 on a validated facet, so
-    Lambda_F^{-1} = det * adj(Lambda_F) and everything stays in Z.
+    det = +-1 on a validated facet, so Lambda_F^{-1} = det * adj(Lambda_F) and
+    everything stays in Z.
     """
     n = len(lam)
-    cols = [v - 1 for v in facet]
-    square = [[lam[r][c] for c in cols] for r in range(n)]
+    square = [[lam[r][v - 1] for v in facet] for r in range(n)]
     cof = [
         [
             (-1) ** (r + c) * ff_determinant(
@@ -127,24 +104,20 @@ def _straightening(lam, facet: tuple[int, ...], m: int) -> tuple[int, dict]:
         for r in range(n)
     ]
     det = sum(square[0][c] * cof[0][c] for c in range(n))
-    outside = [k for k in range(m) if k not in cols]
-    rows = {}
-    for i, v in enumerate(cols):
-        coeffs = []
-        for k in outside:
-            a = -det * sum(cof[r][i] * lam[r][k] for r in range(n))
-            if a:
-                coeffs.append((k, a))
-        rows[v] = coeffs
-    return det, rows
+    return det, [[det * cof[r][i] for r in range(n)] for i in range(n)]
 
 
-def _primitive(row: list[int]) -> tuple[int, ...]:
-    """row divided by the gcd of its entries, first nonzero entry positive."""
-    g = gcd(*row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(x // g for x in row)
+def _generic_point(rows: list[list[int]]) -> list[int]:
+    """The first t_j = s^j + j (s = 2, 3, ...) on which no row vanishes.
+
+    Each row is a nonzero integer vector, so row . t is a nonzero polynomial in
+    s with at most n roots and the search ends.
+    """
+    n = len(rows[0])
+    for s in count(2):
+        t = [s**j + j for j in range(1, n + 1)]
+        if all(sum(map(mul, row, t)) for row in rows):
+            return t
 
 
 class EvalContext:
@@ -156,90 +129,52 @@ class EvalContext:
             raise InputError("invalid quasitoric data: " + "; ".join(rep.issues))
         self.q = q
         k, lam, n, m = q.complex, q.lam, q.n, q.m
-        nf = len(k.facets)
 
-        # every face support (0-based) -> the first facet containing it
-        owner: dict = {}
+        # every face support (0-based) -> the indices of the facets containing it
+        containing: dict = {}
         for fi, f in enumerate(k.facets):
             for size in range(len(f) + 1):
                 for sub in combinations(f, size):
-                    owner.setdefault(tuple(v - 1 for v in sub), fi)
-        self.supports = frozenset(owner)
+                    containing.setdefault(tuple(v - 1 for v in sub), []).append(fi)
+        self.supports = frozenset(containing)
 
-        dets, a_rows = zip(*(_straightening(lam, f, m) for f in k.facets))
-        memo: dict = {}
-        for fi, f in enumerate(k.facets):
-            e = [0] * m
-            for v in f:
-                e[v - 1] = 1
-            memo[tuple(e)] = {fi: 1}
-
-        def straighten(e: Monomial) -> dict:
-            """v^e as {facet index: integer coefficient} modulo the relations."""
-            vec = memo.get(e)
-            if vec is not None:
-                return vec
-            support = tuple(compress(range(m), e))
-            # a face of size < n in degree n: some exponent is at least 2
-            i = next(i for i in support if e[i] >= 2)
-            rest = list(e)
-            rest[i] -= 1
-            acc: dict = {}
-            for kk, a in a_rows[owner[support]][i]:
-                if tuple(sorted(support + (kk,))) not in owner:
-                    continue  # a non-face product is zero in the ring
-                f = rest.copy()
-                f[kk] += 1
-                for g, c in straighten(tuple(f)).items():
-                    acc[g] = acc.get(g, 0) + a * c
-            vec = {g: c for g, c in acc.items() if c}
-            memo[e] = vec
-            return vec
-
-        # the relation rows mu * (sum_i lam[j][i] v_i), straightened onto the facets
-        rows: set = set()
-        for mu in _face_monomials(k, n - 1) if n > 1 else [tuple([0] * m)]:
-            images = []
-            for i in range(m):
-                e = list(mu)
-                e[i] += 1
-                e = tuple(e)
-                if tuple(compress(range(m), e)) in owner:
-                    images.append((i, straighten(e)))
-            for lam_row in lam:
-                row = [0] * nf
-                for i, vec in images:
-                    if lam_row[i]:
-                        for g, c in vec.items():
-                            row[g] += lam_row[i] * c
-                if any(row):
-                    rows.add(_primitive(row))
-        kernel = right_kernel_rational(sorted(rows) or [[0] * nf])
-        if len(kernel) != 1:
-            raise InternalError(
-                f"degree-{n} evaluation space has dimension {len(kernel)}, expected 1"
-            )
-        values = kernel[0]
-
+        dets, inverses = zip(*(_inverse_rows(lam, f) for f in k.facets))
+        t = _generic_point([row for rows in inverses for row in rows])
+        # weights[fi][i]: the tangent weight w_{sigma,i}(t) at facet fi, vertex i
+        weights = [
+            {v - 1: sum(map(mul, row, t)) for v, row in zip(f, rows)}
+            for f, rows in zip(k.facets, inverses)
+        ]
+        euler = [prod(w.values()) for w in weights]
+        den = lcm(*euler)
         signs = orientation_signs(k)
         flip = -1 if q.orientation_flip else 1
-        expect = [flip * signs[fi] * dets[fi] for fi in range(nf)]
-        # facets are sorted, so the base facet has index 0; o(base) = +1
-        if values[0] == 0:
-            raise InternalError("evaluation functional vanishes on the base facet")
-        scale = expect[0] / values[0]
-        for fi, f in enumerate(k.facets):
-            if values[fi] * scale != expect[fi]:
-                raise InternalError(
-                    f"facet {f}: evaluation {values[fi] * scale} != o*det = {expect[fi]}"
-                )
+        # eps(sigma) / prod_j w_{sigma,j}, as an integer over den
+        scaled = [flip * signs[fi] * dets[fi] * (den // e) for fi, e in enumerate(euler)]
+        if sum(scaled):
+            raise InternalError(
+                f"integral of 1 at t = {t} is {Fraction(sum(scaled), den)}, expected 0"
+            )
 
-        # the facet values are now known to be the integers in expect
-        self.basis = _face_monomials(k, n)
+        # every degree-n monomial whose support is a face, sorted
+        self.basis = sorted(
+            tuple(map(chosen.count, range(m)))
+            for chosen in combinations_with_replacement(range(m), n)
+            if tuple(sorted(set(chosen))) in containing
+        )
         self.index = {e: i for i, e in enumerate(self.basis)}
-        self.phi = [
-            Fraction(sum(c * expect[g] for g, c in straighten(e).items())) for e in self.basis
-        ]
+        self.phi = []
+        for e in self.basis:
+            support = tuple(compress(range(m), e))
+            num = sum(
+                scaled[fi] * prod(weights[fi][i] ** e[i] for i in support)
+                for fi in containing[support]
+            )
+            if num % den:
+                raise InternalError(
+                    f"evaluation of {e} at t = {t} is {Fraction(num, den)}, not an integer"
+                )
+            self.phi.append(Fraction(num // den))
 
     def evaluate_monomial(self, e: Monomial) -> Fraction:
         if sum(e) != self.q.n:

@@ -211,6 +211,42 @@ class TestTrees:
         assert tree_constants(net) == expected
 
 
+    def test_enumerated_class_matches_networkx(self):
+        # seven complexes: tree constants come from arborescence enumeration,
+        # and networkx enumerates the in-trees independently
+        import networkx as nx
+        from networkx.algorithms.tree.branchings import ArborescenceIterator
+
+        from toricnet.crn.trees import ENUMERATION_CAP
+
+        names = "ABCDEFG"
+        edges = {}
+        for i in range(7):
+            edges[(i, (i + 1) % 7)] = Fraction(2 * i + 1, 3)
+            edges[((i + 1) % 7, i)] = Fraction(5, i + 4)
+        edges[(0, 3)] = Fraction(7, 2)
+        edges[(5, 2)] = Fraction(1, 9)
+        edges[(6, 4)] = Fraction(11, 5)
+        net = parse_network(
+            "\n".join(f"{names[s]} -> {names[t]} : {w}" for (s, t), w in edges.items())
+        )
+        assert [net.complex_label(i) for i in range(7)] == list(names)
+        assert linkage_classes(net) == [list(range(7))]
+        assert len(names) <= ENUMERATION_CAP
+
+        reversed_graph = nx.DiGraph()
+        for (s, t), w in edges.items():
+            reversed_graph.add_edge(t, s, rate=w)
+        expected = [Fraction(0)] * 7
+        for arb in ArborescenceIterator(reversed_graph):
+            root = next(v for v in arb if arb.in_degree(v) == 0)
+            product = Fraction(1)
+            for u, v in arb.edges:
+                product *= reversed_graph[u][v]["rate"]
+            expected[root] += product
+        assert tree_constants(net) == expected
+
+
 class TestToric:
     def test_bridge_binomials(self):
         net = parse_network(BRIDGE)

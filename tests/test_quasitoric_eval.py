@@ -1,11 +1,13 @@
 """Top-degree evaluation of quasitoric data against independent oracles.
 
-``EvalContext`` straightens every face monomial onto the facets. The oracle
-here is the direct construction that straightening replaces: the relation
-matrix over all degree-n face monomials, one row per (degree-(n-1) face
-monomial, row of Lambda), and its one-dimensional nullspace taken by sympy.
-The Bott-tower oracle reduces by the Stanley-Reisner relations instead.
-Neither shares code with ``toricnet.torictop.quasitoric``.
+``EvalContext`` evaluates every face monomial by the fixed-point formula at
+one generic point t. The oracle here is a construction that formula does not
+use: the relation matrix over all degree-n face monomials, one row per
+(degree-(n-1) face monomial, row of Lambda), and its one-dimensional
+nullspace taken by sympy. The Bott-tower oracle reduces by the
+Stanley-Reisner relations instead. Neither shares code with
+``toricnet.torictop.quasitoric``. The formula's own checks (the integral of 1
+vanishes, every value is an integer) are reached by corrupting one input each.
 """
 
 from fractions import Fraction as F
@@ -311,27 +313,58 @@ def test_evicted_context_rebuilds_identically(counted):
 # ---------------------------------------------------------------- cross-checks
 
 
-def test_dimension_check_fires_on_a_disconnected_complex(monkeypatch):
-    # two copies of S^0 pass no sphere battery; let them through to reach the
-    # kernel: one relation on four facets leaves a 3-dimensional space
-    two_spheres = QuasitoricData(SimplicialComplex(4, ((1,), (2,), (3,), (4,))), ((1, -1, 1, -1),))
-    monkeypatch.setattr(quasitoric, "validate_quasitoric", lambda k, lam: quasitoric.ValidityReport())
-    with pytest.raises(InternalError, match="dimension 3, expected 1"):
-        quasitoric.EvalContext(two_spheres)
-
-
-def test_base_facet_check_fires_when_the_kernel_vanishes_there(monkeypatch):
-    monkeypatch.setattr(
-        quasitoric, "right_kernel_rational", lambda rows: [[F(0)] + [F(1)] * (len(rows[0]) - 1)]
-    )
-    with pytest.raises(InternalError, match="vanishes on the base facet"):
-        quasitoric.EvalContext(cpn(2))
-
-
 def test_orientation_check_fires_on_wrong_facet_signs(monkeypatch):
     signs = quasitoric.orientation_signs
     monkeypatch.setattr(
         quasitoric, "orientation_signs", lambda k: {i: -s if i else s for i, s in signs(k).items()}
     )
-    with pytest.raises(InternalError, match="!= o\\*det"):
+    with pytest.raises(InternalError, match="integral of 1 at t = .* expected 0"):
         quasitoric.EvalContext(cpn(2))
+
+
+def test_integrality_check_fires_on_a_negated_facet_inverse(monkeypatch):
+    # negating det and Lambda_sigma^{-1} on one facet of CP^3 leaves
+    # eps(sigma) / prod_j w_{sigma,j} unchanged in odd dimension, so the
+    # integral of 1 still vanishes, while phi(v_3^3) picks up a non-integer
+    inverse_rows = quasitoric._inverse_rows
+    q = cpn(3)
+    base = q.complex.facets[0]
+
+    def negated(lam, facet):
+        det, rows = inverse_rows(lam, facet)
+        if facet != base:
+            return det, rows
+        return -det, [[-x for x in row] for row in rows]
+
+    monkeypatch.setattr(quasitoric, "_inverse_rows", negated)
+    with pytest.raises(InternalError, match=r"\(0, 0, 3, 0\) at t = .* is -112/9, not an integer"):
+        quasitoric.EvalContext(q)
+
+
+def _other_point(rows):
+    """A second generic point, chosen by a rule unlike the library's."""
+    n = len(rows[0])
+    for s in range(5, 100):
+        t = [(-s) ** j - 3 * j for j in range(1, n + 1)]
+        if all(sum(a * b for a, b in zip(row, t)) for row in rows):
+            return t
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_phi_does_not_depend_on_the_generic_point(name, variant, monkeypatch):
+    q = VARIANTS[variant](BASES[name])
+    first = quasitoric.EvalContext(q)
+    default_point = quasitoric._generic_point
+    points = []
+
+    def record(rows):
+        points.append((default_point(rows), _other_point(rows)))
+        return points[-1][1]
+
+    monkeypatch.setattr(quasitoric, "_generic_point", record)
+    second = quasitoric.EvalContext(q)
+    [(default, other)] = points
+    assert default != other
+    assert second.basis == first.basis
+    assert second.phi == first.phi
