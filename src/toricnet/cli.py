@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 bad input (including unknown flags and unreadable
 files), 2 domain refusal. Refusals always emit machine-readable
 {"error": {"kind": ..., "detail": ...}} regardless of --format.
+
+The argparse tree is built once per process, on the first ``main`` call, and
+reused by every later call: each ``parse_args`` returns a fresh namespace, no
+option appends to a shared default, and a usage error raises before any
+state is kept. Importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .render import (
 )
 
 DEFAULT_ORDER = 8
+
+_PARSER = None  # built by the first main() call
 
 
 class _Parser(argparse.ArgumentParser):
@@ -764,9 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except DomainRefusal as exc:
         print(json.dumps({"error": exc.payload()}, sort_keys=True))

@@ -1,9 +1,12 @@
-"""Tree constants K_i by direct arborescence enumeration.
+"""Tree constants K_i of each linkage class.
 
 K_i sums, over spanning trees of i's linkage class with every edge oriented
-toward i, the product of edge rates. Enumeration backtracks over parent
-assignments (fine for classes of <= 8 complexes); bigger classes are handled
-by exact determinant minors instead, numeric rates only.
+toward i, the product of edge rates. With numeric rates K_i is a principal
+cofactor of the class block of the rate matrix (the matrix-tree theorem),
+taken by fraction-free elimination at every class size. With symbolic rates
+the arborescences are enumerated by backtracking over parent assignments,
+one monomial per tree; that is capped at classes of ENUMERATION_CAP
+complexes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 from ..errors import InputError, NotWeaklyReversible
 from ..exactcore import SparsePoly, ff_determinant
-from .network import _rate_entry, build_rate_matrix, linkage_classes, strong_components
+from .network import _rate_entry, linkage_classes, strong_components
 from .parser import Network
 
 ENUMERATION_CAP = 8
@@ -30,13 +33,25 @@ def _class_edges(net: Network, cls: list[int], bindings, symbolic: bool) -> dict
     return edges
 
 
-def _in_trees(nodes: list[int], edges: dict, root: int, one):
-    """Edge-weight products of all arborescences converging to root."""
+def _in_trees(nodes: list[int], edges: dict, root: int) -> SparsePoly:
+    """Sum over the arborescences converging to root of their edge products.
+
+    A weight of several terms (parallel reactions, k1 + k2) is split into
+    parallel single-term edges first, which by distributivity gives the same
+    sum. The walk then carries exponent counts and a coefficient product, so
+    each tree costs one monomial and no polynomial product. Integral
+    coefficients are multiplied as ints and made Fractions once per term.
+    """
     others = [v for v in nodes if v != root]
-    out_choices = {
-        v: [(t, w) for (s, t), w in edges.items() if s == v] for v in others
-    }
+    out_choices = {v: [] for v in others}
+    for (s, t), w in edges.items():
+        if s != root:
+            out_choices[s].extend(
+                (t, m, c.numerator if c.denominator == 1 else c) for m, c in w.terms.items()
+            )
     parent: dict = {}
+    powers: dict = {}
+    out: dict = {}
 
     def walk_hits(start: int, candidate: int) -> bool:
         # would candidate as start's parent close a cycle?
@@ -47,19 +62,28 @@ def _in_trees(nodes: list[int], edges: dict, root: int, one):
                 return True
         return False
 
-    def rec(i: int, acc):
+    def rec(i: int, coeff) -> None:
         if i == len(others):
-            yield acc
+            m = tuple(sorted(powers.items()))
+            out[m] = out[m] + coeff if m in out else coeff
             return
         v = others[i]
-        for t, w in out_choices[v]:
+        for t, m, c in out_choices[v]:
             if t != root and walk_hits(v, t):
                 continue
             parent[v] = t
-            yield from rec(i + 1, acc * w)
+            for name, exp in m:
+                powers[name] = powers.get(name, 0) + exp
+            rec(i + 1, coeff * c)
+            for name, exp in m:
+                if powers[name] == exp:
+                    del powers[name]
+                else:
+                    powers[name] -= exp
             del parent[v]
 
-    return rec(0, one)
+    rec(0, 1)
+    return SparsePoly._trusted({m: Fraction(c) for m, c in out.items()})
 
 
 def matrix_tree_cofactor(block, root: int, row: int):
@@ -93,21 +117,23 @@ def tree_constants(net: Network, bindings: dict | None = None) -> list:
                 f"linkage class {{{', '.join(net.complex_label(i) for i in cls)}}} "
                 "is not strongly connected"
             )
-        if len(cls) > ENUMERATION_CAP:
-            if symbolic:
-                raise InputError(
-                    f"class of {len(cls)} complexes: symbolic tree constants "
-                    f"are capped at {ENUMERATION_CAP}, pass numeric bindings"
-                )
-            rates = build_rate_matrix(net, bindings)
-            block = [[rates[r][c] for c in cls] for r in cls]
-            for i, root in enumerate(cls):
-                out[root] = matrix_tree_cofactor(block, i, i)
-            continue
+        if symbolic and len(cls) > ENUMERATION_CAP:
+            raise InputError(
+                f"class of {len(cls)} complexes: symbolic tree constants "
+                f"are capped at {ENUMERATION_CAP}, pass numeric bindings"
+            )
         edges = _class_edges(net, cls, bindings, symbolic)
-        for root in cls:
-            if symbolic:
-                out[root] = SparsePoly.sum(_in_trees(cls, edges, root, SparsePoly.one()))
-            else:
-                out[root] = sum(_in_trees(cls, edges, root, Fraction(1)), Fraction(0))
+        if symbolic:
+            for root in cls:
+                out[root] = _in_trees(cls, edges, root)
+            continue
+        # the class block of the rate matrix: A[t][s] = rate(s -> t), and
+        # each column sums to zero
+        pos = {v: i for i, v in enumerate(cls)}
+        block = [[Fraction(0)] * len(cls) for _ in cls]
+        for (s, t), w in edges.items():
+            block[pos[t]][pos[s]] = w
+            block[pos[s]][pos[s]] -= w
+        for i, root in enumerate(cls):
+            out[root] = matrix_tree_cofactor(block, i, i)
     return out

@@ -102,7 +102,7 @@ class SparsePoly(Terms):
                 m = _monomial_mul(m1, m2)
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
-        return SparsePoly(out)
+        return SparsePoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -150,20 +150,19 @@ class SparsePoly(Terms):
         return SparsePoly.sum(image(m, c) for m, c in self.terms.items())
 
     def sorted_terms(self):
-        """Terms by total degree, then by exponent vector over ``vars``.
-
-        Within one degree the vectors ascend as the ``(name, -exponent)``
-        pair lists descend: at the first pair where two monomials differ,
-        the earlier name, or the same name with the larger exponent, marks
-        the larger vector (a monomial that is a prefix of another has lower
-        degree).
-        """
+        """Terms by total degree, then by exponent vector over ``vars``."""
+        index = {name: i for i, name in enumerate(self.vars)}
+        width = len(index)
 
         def order(item):
-            pairs = [(name, -exp) for name, exp in item[0]]
-            return (sum([e for _, e in pairs]), pairs)
+            vector = [0] * width
+            degree = 0
+            for name, exp in item[0]:
+                vector[index[name]] = exp
+                degree += exp
+            return (degree, vector)
 
-        return sorted(self.terms.items(), key=order, reverse=True)
+        return sorted(self.terms.items(), key=order)
 
     # -- rendering --------------------------------------------------------
 

@@ -10,6 +10,14 @@ an int is converted, anything else is refused with ``TypeError``.
 Add many elements with ``X.sum(...)``: it merges every summand into one dict
 and builds the result once, while a loop of ``out = out + term`` copies
 ``out`` at every step.
+
+Construction is validated or trusted. The public constructor (``NCF(...)``,
+``SymF(basis, ...)``, ``SparsePoly.monomial``, ...) and ``coeff`` check every
+key and coefficient, because that is where outside data (JSON, CLI text,
+user code) comes in. Results computed from elements that were already
+checked (ring products, sums, negations and scalar multiples) go through
+``_trusted``, which only drops zero coefficients. Trust is per element:
+``sum`` refuses a summand of another class with one ``isinstance`` each.
 """
 
 from __future__ import annotations
@@ -44,6 +52,14 @@ class Terms:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _trusted(cls, terms):
+        """An element over keys and Fraction coefficients that are already
+        checked: no key is validated, only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
+
     # -- per-class hooks ---------------------------------------------------
 
     @staticmethod
@@ -60,8 +76,8 @@ class Terms:
         return (sum(key), len(key), key)
 
     def _new(self, terms):
-        """An element of the same kind as self with the given terms."""
-        return type(self)(terms)
+        """A trusted element of the same kind as self with the given terms."""
+        return self._trusted(terms)
 
     def _aligned(self, other):
         """``other`` written so that its keys mean what self's keys mean."""
@@ -86,13 +102,19 @@ class Terms:
         """Sum of an iterable of elements in one pass; an empty sum is ``zero()``.
 
         The first summand fixes the kind of the result (the basis of a SymF).
+        A summand that is not of the first one's class raises ``TypeError``.
         """
         items = iter(items)
         first = next(items, None)
         if first is None:
             return cls.zero()
+        kind = type(first)
+        if not isinstance(first, cls):
+            raise TypeError(f"cannot sum {kind.__name__} as {cls.__name__}")
         out = dict(first.terms)
         for x in items:
+            if not isinstance(x, kind):
+                raise TypeError(f"cannot add {type(x).__name__} to {kind.__name__}")
             for k, c in first._aligned(x).terms.items():
                 out[k] = out[k] + c if k in out else c
         return first._new(out)

@@ -69,7 +69,7 @@ class BetaNCF(Terms):
                 key = (k1 + k2, w1 + w2)
                 c = c1 * c2
                 out[key] = out[key] + c if key in out else c
-        return BetaNCF(out)
+        return BetaNCF._trusted(out)
 
 
 def beta_deform(beta, order: int) -> TruncSeries:

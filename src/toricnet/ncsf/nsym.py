@@ -66,7 +66,7 @@ class NCF(Terms):
                 w = w1 + w2
                 c = c1 * c2
                 out[w] = out[w] + c if w in out else c
-        return NCF(out)
+        return NCF._trusted(out)
 
     def graded_piece(self, wt: int) -> "NCF":
         return NCF({w: c for w, c in self.terms.items() if sum(w) == wt})
@@ -112,7 +112,7 @@ class TensorNCF(Terms):
                 k = (a1 + b1, a2 + b2)
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return TensorNCF(out)
+        return TensorNCF._trusted(out)
 
     def flip(self) -> "TensorNCF":
         return TensorNCF({(w2, w1): c for (w1, w2), c in self.terms.items()})

@@ -65,7 +65,7 @@ def qsym_product(x: QSF, y: QSF) -> QSF:
             for comp, mult in _quasi_shuffle(a, b):
                 t = c * mult
                 out[comp] = out[comp] + t if comp in out else t
-    return QSF(out)
+    return QSF._trusted(out)
 
 
 def qsym_realize(alpha, k: int) -> SparsePoly:

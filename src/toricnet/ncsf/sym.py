@@ -46,7 +46,9 @@ class SymF(Terms):
         super().__init__(terms)
 
     def _new(self, terms) -> "SymF":
-        return SymF(self.basis, terms)
+        out = self._trusted(terms)
+        object.__setattr__(out, "basis", self.basis)
+        return out
 
     def _aligned(self, other: "SymF") -> "SymF":
         return sym_convert(other, self.basis)
@@ -102,7 +104,7 @@ def _merge_mul(x: SymF, y: SymF) -> SymF:
             key = tuple(sorted(l1 + l2, reverse=True))
             c = c1 * c2
             out[key] = out[key] + c if key in out else c
-    return SymF(x.basis, out)
+    return x._new(out)
 
 
 # -- generator images among the multiplicative bases -------------------------

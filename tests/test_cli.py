@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from toricnet import cli
 from toricnet.cli import main
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
@@ -314,3 +315,65 @@ class TestHarness:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reusing it changes no output."""
+
+    @staticmethod
+    def _calls(triangle_file, bridge_file, cp2_file):
+        return [
+            (1, ["qsym", "product", "--left", "1"]),
+            (0, ["--help"]),
+            (1, ["crn", "analyze", triangle_file, "--no-such-flag"]),
+            (2, ["crn", "toric", bridge_file]),
+            (0, ["crn", "trees", bridge_file, "--bindings", "k1=2,k2=3,k3=5,k4=7"]),
+            (0, ["crn", "trees", bridge_file]),
+            (0, ["crn", "steady", triangle_file, "--tol", "1e-6"]),
+            (0, ["crn", "steady", triangle_file, "--format", "json"]),
+            (0, ["qsym", "product", "--left", "1,2", "--right", "1"]),
+            (0, ["sym", "convert", "--element", "e:2,1", "--to", "s", "--format", "json"]),
+            (0, ["hopf", "fgl", "--order", "4"]),
+            (0, ["hopf", "antipode", "--algebra", "bfk", "--degree", "3"]),
+            (0, ["freeprob", "free", "--moments", "1,0,1,0,2"]),
+            (0, ["freeprob", "hirzebruch", "--log", "1,1/2"]),
+            (0, ["toric", "charnum", "--quasitoric", cp2_file, "--orientation-flip"]),
+            (0, ["toric", "charnum", "--quasitoric", cp2_file]),
+            (0, ["hopf", "fgl", "--help"]),
+            (0, ["--help"]),
+        ]
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert argv[-1] == "--help"
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_reused_parser_matches_fresh_parser(
+        self, capsys, monkeypatch, triangle_file, bridge_file, cp2_file
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = self._calls(triangle_file, bridge_file, cp2_file)
+        fresh = []
+        for _, argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(self._call(argv, capsys))
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            builds.append(None)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for (code, argv), want in zip(calls, fresh):
+            got = self._call(argv, capsys)
+            assert got == want, argv
+            assert got[0] == code, argv
+            assert got[1], argv
+        assert len(builds) <= 1

@@ -212,8 +212,8 @@ class TestTrees:
 
 
     def test_enumerated_class_matches_networkx(self):
-        # seven complexes: tree constants come from arborescence enumeration,
-        # and networkx enumerates the in-trees independently
+        # seven complexes with numeric rates: tree constants come from
+        # cofactors, and networkx enumerates the in-trees independently
         import networkx as nx
         from networkx.algorithms.tree.branchings import ArborescenceIterator
 
@@ -245,6 +245,51 @@ class TestTrees:
                 product *= reversed_graph[u][v]["rate"]
             expected[root] += product
         assert tree_constants(net) == expected
+
+
+    def test_symbolic_enumeration_matches_networkx(self):
+        # the same seven complexes with symbolic rates: tree constants come
+        # from arborescence enumeration; substituting the rates must give
+        # networkx's in-tree sums. A -> D runs twice (k0_3a + k0_3b), so one
+        # edge weight has two terms.
+        import networkx as nx
+        from networkx.algorithms.tree.branchings import ArborescenceIterator
+
+        from toricnet.crn.trees import ENUMERATION_CAP
+
+        names = "ABCDEFG"
+        edges = {}
+        for i in range(7):
+            edges[(i, (i + 1) % 7)] = Fraction(2 * i + 1, 3)
+            edges[((i + 1) % 7, i)] = Fraction(5, i + 4)
+        edges[(0, 3)] = Fraction(7, 2)
+        edges[(5, 2)] = Fraction(1, 9)
+        edges[(6, 4)] = Fraction(11, 5)
+        rates = {f"k{s}_{t}": w for (s, t), w in edges.items() if (s, t) != (0, 3)}
+        rates["k0_3a"] = Fraction(3, 2)
+        rates["k0_3b"] = Fraction(2)
+        lines = [f"{names[s]} -> {names[t]} : k{s}_{t}" for (s, t) in edges if (s, t) != (0, 3)]
+        lines += ["A -> D : k0_3a", "A -> D : k0_3b"]
+        net = parse_network("\n".join(lines))
+        assert [net.complex_label(i) for i in range(7)] == list(names)
+        assert len(names) <= ENUMERATION_CAP
+
+        symbolic = tree_constants(net)
+        assert all(isinstance(k, SparsePoly) for k in symbolic)
+        assert max(len(k.terms) for k in symbolic) > 1
+
+        reversed_graph = nx.DiGraph()
+        for (s, t), w in edges.items():
+            reversed_graph.add_edge(t, s, rate=w)
+        expected = [Fraction(0)] * 7
+        for arb in ArborescenceIterator(reversed_graph):
+            root = next(v for v in arb if arb.in_degree(v) == 0)
+            product = Fraction(1)
+            for u, v in arb.edges:
+                product *= reversed_graph[u][v]["rate"]
+            expected[root] += product
+        assert [k.substitute(rates).constant_value() for k in symbolic] == expected
+        assert tree_constants(net, rates) == expected
 
 
 class TestToric:

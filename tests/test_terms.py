@@ -3,7 +3,9 @@
 NCF, TensorNCF, QSF, SymF, BetaNCF and SparsePoly share the ``Terms`` core.
 All six must sum in one pass exactly as a chain of ``+`` does, hash
 consistently with ``==``, refuse mutation, and the four rendered types must
-survive a JSON round trip.
+survive a JSON round trip. Results built by the trusted constructor (ring
+products, sums, negations, scalar multiples) must be exactly what the
+validating constructor would build from the same terms.
 """
 
 import json
@@ -142,3 +144,48 @@ def test_terms_cannot_be_reassigned(element):
 def test_beta_keys_are_checked(key):
     with pytest.raises((ValueError, TypeError)):
         BetaNCF({key: 1})
+
+
+def _revalidated(x):
+    """x rebuilt from its terms through the validating public constructor."""
+    if isinstance(x, SymF):
+        return SymF(x.basis, x.terms)
+    return type(x)(x.terms)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_trusted_results_survive_revalidation(name, data):
+    elements, zero = ALGEBRAS[name]
+    if name == "SymF":
+        # keep products of mixed bases under DEGREE_CAP
+        elements = st.builds(SymF, bases, _terms(partitions.filter(lambda lam: sum(lam) <= 4)))
+    x = data.draw(elements)
+    y = data.draw(elements)
+    scalar = data.draw(st.one_of(st.integers(-2, 2), coeffs))
+    results = [x * y, y * x, x + y, x - y, type(zero).sum([x, y, -x]), -x, x * scalar, scalar * x]
+    for result in results:
+        assert type(result) is type(x)
+        assert all(c != 0 for c in result.terms.values())
+        assert all(type(c) is Fraction for c in result.terms.values())
+        assert _revalidated(result).terms == result.terms
+    if name == "SymF":
+        # a SymF result is in the basis of its left operand
+        assert [r.basis for r in results] == [x.basis, y.basis] + [x.basis] * 6
+
+
+@pytest.mark.parametrize(
+    "cls, items",
+    [
+        (NCF, [NCF.gen(1), QSF.monomial((1,))]),
+        (NCF, [QSF.monomial((1,)), NCF.gen(1)]),
+        (QSF, [QSF.monomial((1,)), SparsePoly.variable("x")]),
+        (SparsePoly, [SparsePoly.variable("x"), BetaNCF.one()]),
+        (SymF, [SymF.gen("h", 1), TensorNCF.one()]),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_mixed_class_sum_is_refused(cls, items):
+    with pytest.raises(TypeError):
+        cls.sum(items)
