@@ -27,7 +27,6 @@ from .render import (
     render_qsf,
     render_sym,
     render_tensor,
-    render_word,
     sym_json,
     tensor_json,
     value_str,

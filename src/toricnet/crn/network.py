@@ -59,87 +59,43 @@ def build_rate_matrix(net: Network, bindings: dict | None = None):
     return a
 
 
-def _adjacency(net: Network) -> list[set]:
-    out = [set() for _ in range(net.n_complexes)]
-    for r in net.reactions:
-        out[r.source].add(r.target)
-    return out
-
-
-def linkage_classes(net: Network) -> list[list[int]]:
-    """Weakly connected components, each sorted, ordered by smallest member."""
-    n = net.n_complexes
-    neighbors = [set() for _ in range(n)]
-    for r in net.reactions:
-        neighbors[r.source].add(r.target)
-        neighbors[r.target].add(r.source)
-    seen = [False] * n
-    classes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
+def _mutual_reach(n: int, arcs) -> list[list[int]]:
+    """Classes of mutual reachability along ``arcs`` ((source, target) pairs)
+    on nodes 0..n-1, each sorted, ordered by smallest member."""
+    out = [set() for _ in range(n)]
+    for s, t in arcs:
+        out[s].add(t)
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
+            for w in out[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        classes.append(sorted(comp))
+        reach.append(seen)
+    placed = [False] * n
+    classes = []
+    for v in range(n):
+        if not placed[v]:
+            comp = [w for w in sorted(reach[v]) if v in reach[w]]
+            for w in comp:
+                placed[w] = True
+            classes.append(comp)
     return classes
 
 
-def strong_components(net: Network) -> list[list[int]]:
-    """Strongly connected components (iterative Tarjan), sorted like above."""
-    n = net.n_complexes
-    out = _adjacency(net)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+def linkage_classes(net: Network) -> list[list[int]]:
+    """Weakly connected components: mutual reachability with every reaction
+    also read backwards. Each class sorted, ordered by smallest member."""
+    arcs = [(r.source, r.target) for r in net.reactions]
+    return _mutual_reach(net.n_complexes, arcs + [(t, s) for s, t in arcs])
 
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(sorted(out[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(out[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+
+def strong_components(net: Network) -> list[list[int]]:
+    """Strongly connected components: mutual reachability along the
+    reactions, sorted like the linkage classes."""
+    return _mutual_reach(net.n_complexes, [(r.source, r.target) for r in net.reactions])
 
 
 def is_weakly_reversible(net: Network) -> bool:

@@ -10,6 +10,7 @@ Matrices are plain lists of row lists; functions never mutate their inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .polynomials import SparsePoly
 
@@ -190,10 +191,8 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
     cleared = []
     for row in a:
         fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        cleared.append([int(x * lcm) for x in fr])
+        scale = lcm(*(x.denominator for x in fr))
+        cleared.append([int(x * scale) for x in fr])
     B = transpose(cleared)  # n x m; rows indexed by kernel coordinates
     H, U = hermite_normal_form(B)
     kernel_rows = [U[i] for i in range(n) if all(x == 0 for x in H[i])]
@@ -201,12 +200,6 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
         return []
     K, _ = hermite_normal_form(kernel_rows)
     return [row for row in K if any(row)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def smith_normal_form(a: Matrix) -> list[int]:

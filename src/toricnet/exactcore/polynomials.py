@@ -96,13 +96,7 @@ class SparsePoly(Terms):
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             return super().__mul__(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _monomial_mul(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return SparsePoly._trusted(out)
+        return self._product(other, _monomial_mul)
 
     __rmul__ = __mul__
 
@@ -166,12 +160,12 @@ class SparsePoly(Terms):
 
     # -- rendering --------------------------------------------------------
 
-    def render(self, mul: str = "*", pow_: str = "^") -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            body = mul.join(name if exp == 1 else f"{name}{pow_}{exp}" for name, exp in m)
+            body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in m)
             if not body:
                 piece = str(c)
             elif c == 1:
@@ -179,7 +173,7 @@ class SparsePoly(Terms):
             elif c == -1:
                 piece = f"-{body}"
             else:
-                piece = f"{c}{mul}{body}"
+                piece = f"{c}*{body}"
             parts.append(piece)
         text = " + ".join(parts)
         return text.replace("+ -", "- ")

@@ -3,9 +3,11 @@
 ``Terms`` is the module structure shared by the sparse algebras: words
 (``NCF``), pairs of words (``TensorNCF``), compositions (``QSF``),
 partitions (``SymF``), (beta power, word) pairs (``BetaNCF``) and monomials
-(``SparsePoly``). A subclass supplies ``_check_key`` and its ring product in
-``__mul__``; everything linear lives here. Coefficients are ``Fraction``:
-an int is converted, anything else is refused with ``TypeError``.
+(``SparsePoly``). A subclass supplies ``_check_key`` and a product of two
+keys, which its ``__mul__`` hands to ``_product``; the multiply-and-accumulate
+loop and everything linear live here, and ``algebra_map`` extends a map on
+generators multiplicatively. Coefficients are ``Fraction``: an int is
+converted, anything else is refused with ``TypeError``.
 
 Add many elements with ``X.sum(...)``: it merges every summand into one dict
 and builds the result once, while a loop of ``out = out + term`` copies
@@ -23,6 +25,8 @@ checked (ring products, sums, negations and scalar multiples) go through
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 
 def key_str(letter: str, key: tuple) -> str:
@@ -142,6 +146,17 @@ class Terms:
 
     __rmul__ = __mul__
 
+    def _product(self, other, key_mul):
+        """The ring product whose basis keys multiply by ``key_mul``: every
+        pair of terms multiplies its coefficients into the combined key."""
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return self._new(out)
+
     def __eq__(self, other):
         if isinstance(other, type(self)):
             return self.terms == self._aligned(other).terms
@@ -167,3 +182,14 @@ class Terms:
     def __repr__(self):
         body = " + ".join(f"{c}*{self._key_str(k)}" for k, c in self.sorted_terms())
         return f"{type(self).__name__}({body or 0})"
+
+
+def algebra_map(x: Terms, image, one: Terms) -> Terms:
+    """The multiplicative extension to ``x`` of ``image`` on generators.
+
+    A key of ``x`` is a sequence of generators; it maps to the product of
+    their images, starting from ``one``, and the terms sum in one pass.
+    """
+    return type(one).sum(
+        reduce(mul, map(image, key), one) * c for key, c in x.terms.items()
+    )

@@ -15,7 +15,7 @@ from ..errors import InputError
 from ..exactcore import TruncSeries
 from ..exactcore.terms import Terms, key_str
 from ..ncsf import NCF, psi_series
-from ..ncsf.nsym import _check_word
+from ..ncsf.nsym import _check_word, slotwise_add
 
 
 def _check_beta_key(key) -> tuple:
@@ -29,8 +29,8 @@ def _check_beta_key(key) -> tuple:
 class BetaNCF(Terms):
     """Free-algebra element with polynomial beta coefficients.
 
-    terms: (beta_exponent, word) -> Fraction. beta is central; words multiply
-    by concatenation exactly as in NCF.
+    terms: (beta_exponent, word) -> Fraction. beta is central; exponents add
+    and words concatenate, slot by slot as in TensorNCF.
     """
 
     __slots__ = ()
@@ -63,13 +63,7 @@ class BetaNCF(Terms):
     def __mul__(self, other):
         if not isinstance(other, BetaNCF):
             return super().__mul__(other)
-        out: dict = {}
-        for (k1, w1), c1 in self.terms.items():
-            for (k2, w2), c2 in other.terms.items():
-                key = (k1 + k2, w1 + w2)
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
-        return BetaNCF._trusted(out)
+        return self._product(other, slotwise_add)
 
 
 def beta_deform(beta, order: int) -> TruncSeries:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
+from ..exactcore.terms import algebra_map
 from ..ncsf import NCF, TensorNCF, abelianize_ncf, abelianize_tensor, z_series
 from ..ncsf.compositions import compositions
 from . import ln
@@ -48,10 +49,7 @@ def bfk_coproduct_gen(m: int) -> TensorNCF:
 
 def bfk_coproduct(x: NCF) -> TensorNCF:
     """Multiplicative extension of the generator coproduct."""
-    return TensorNCF.sum(
-        reduce(mul, map(bfk_coproduct_gen, w), TensorNCF.one()) * c
-        for w, c in x.terms.items()
-    )
+    return algebra_map(x, bfk_coproduct_gen, TensorNCF.one())
 
 
 def bfk_coproduct_word(w: tuple) -> TensorNCF:

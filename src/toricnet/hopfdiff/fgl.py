@@ -21,6 +21,7 @@ from functools import lru_cache
 from ..errors import InputError
 from ..exactcore import SparsePoly, TruncSeries
 from ..ncsf import NCF, z_series
+from .ln import t_series
 
 
 @lru_cache(maxsize=None)
@@ -76,25 +77,22 @@ def fgl_associativity_defect(order: int):
     return None if e is None else (e, diff.coeffs[e])
 
 
-def fgl_abelianized(order: int, prefix: str = "b") -> TruncSeries:
+def fgl_abelianized(order: int) -> TruncSeries:
     """Image of the law under Z_i -> b_i, as a polynomial-coefficient series."""
     f = fgl_over_N(order)
 
     def ab(coeff):
         return SparsePoly.sum(
-            SparsePoly.monomial(Counter(f"{prefix}{i}" for i in w), c)
+            SparsePoly.monomial(Counter(f"b{i}" for i in w), c)
             for w, c in coeff.terms.items()
         )
 
     return f.map_coeffs(ab, ring=SparsePoly)
 
 
-def commutative_fgl(order: int, prefix: str = "b") -> TruncSeries:
+def commutative_fgl(order: int) -> TruncSeries:
     """b(b^{<-1>}(x) + b^{<-1>}(y)) computed purely commutatively."""
-    coeffs = {(1,): SparsePoly.one()}
-    for i in range(1, order):
-        coeffs[(i + 1,)] = SparsePoly.variable(f"{prefix}{i}")
-    b = TruncSeries(SparsePoly, order, 1, coeffs)
+    b = t_series(order, prefix="b")
     u = b.comp_inverse()
     inner = u.embed(2, [0]) + u.embed(2, [1])
     return b.compose(inner)

@@ -15,11 +15,11 @@ Z(T) = 1 + Z_1 T + Z_2 T^2 + ...
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
+from operator import add
 
 from ..exactcore import TruncSeries
-from ..exactcore.terms import Terms, key_str
+from ..exactcore.terms import Terms, algebra_map, key_str
 
 Word = tuple  # tuple of positive ints
 
@@ -60,13 +60,7 @@ class NCF(Terms):
     def __mul__(self, other):
         if not isinstance(other, NCF):
             return super().__mul__(other)
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                out[w] = out[w] + c if w in out else c
-        return NCF._trusted(out)
+        return self._product(other, add)
 
     def graded_piece(self, wt: int) -> "NCF":
         return NCF({w: c for w, c in self.terms.items() if sum(w) == wt})
@@ -78,6 +72,11 @@ class NCF(Terms):
 def _check_pair(key) -> tuple:
     w1, w2 = key
     return (_check_word(w1), _check_word(w2))
+
+
+def slotwise_add(a: tuple, b: tuple) -> tuple:
+    """Product of two-slot keys: each slot adds (words concatenate)."""
+    return (a[0] + b[0], a[1] + b[1])
 
 
 class TensorNCF(Terms):
@@ -106,13 +105,7 @@ class TensorNCF(Terms):
     def __mul__(self, other):
         if not isinstance(other, TensorNCF):
             return super().__mul__(other)
-        out: dict = {}
-        for (a1, a2), c1 in self.terms.items():
-            for (b1, b2), c2 in other.terms.items():
-                k = (a1 + b1, a2 + b2)
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return TensorNCF._trusted(out)
+        return self._product(other, slotwise_add)
 
     def flip(self) -> "TensorNCF":
         return TensorNCF({(w2, w1): c for (w1, w2), c in self.terms.items()})
@@ -138,10 +131,7 @@ def nsf_product(x: NCF, y: NCF) -> NCF:
 
 def nsf_coproduct(x: NCF) -> TensorNCF:
     """Multiplicative extension of Delta Z_i = sum_{j+k=i} Z_j (x) Z_k."""
-    return TensorNCF.sum(
-        reduce(mul, map(_gen_coproduct, w), TensorNCF.one()) * c
-        for w, c in x.terms.items()
-    )
+    return algebra_map(x, _gen_coproduct, TensorNCF.one())
 
 
 # -- grouplike-normalized generating series and the Cartier families ---------

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache, partial
 
 from ..errors import InputError
 from ..exactcore import SparsePoly, identity, mat_mul, transpose
-from ..exactcore.terms import Terms, key_str
+from ..exactcore.terms import Terms, algebra_map, key_str
 from .compositions import check_partition, partitions, to_partition
 from .nsym import NCF, TensorNCF
 from .qsym import QSF, qsym_realize
@@ -83,11 +82,12 @@ class SymF(Terms):
     def __mul__(self, other):
         if not isinstance(other, SymF):
             return super().__mul__(other)
-        if self.basis == other.basis and self.basis in _MULTIPLICATIVE:
-            return _merge_mul(self, other)
+        # e, h and p convert into each other with no degree cap; m and s
+        # multiply through h
+        if self.basis in _MULTIPLICATIVE and other.basis in _MULTIPLICATIVE:
+            return self._product(_convert_multiplicative(other, self.basis), _merge_parts)
         a = sym_convert(self, "h")
-        b = sym_convert(other, "h")
-        return sym_convert(_merge_mul(a, b), self.basis)
+        return sym_convert(a._product(sym_convert(other, "h"), _merge_parts), self.basis)
 
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
@@ -96,15 +96,9 @@ class SymF(Terms):
         return SymF(self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == n})
 
 
-def _merge_mul(x: SymF, y: SymF) -> SymF:
-    # product in a multiplicative basis: concatenate and resort the parts
-    out: dict = {}
-    for l1, c1 in x.terms.items():
-        for l2, c2 in y.terms.items():
-            key = tuple(sorted(l1 + l2, reverse=True))
-            c = c1 * c2
-            out[key] = out[key] + c if key in out else c
-    return x._new(out)
+def _merge_parts(a: tuple, b: tuple) -> tuple:
+    """Product of two keys in a multiplicative basis: the parts of both, resorted."""
+    return tuple(sorted(a + b, reverse=True))
 
 
 # -- generator images among the multiplicative bases -------------------------
@@ -155,10 +149,7 @@ def _gen_image(src: str, dst: str, k: int) -> SymF:
 def _convert_multiplicative(f: SymF, dst: str) -> SymF:
     if f.basis == dst:
         return f
-    return SymF.sum(
-        reduce(mul, (_gen_image(f.basis, dst, part) for part in lam), SymF.one(dst)) * c
-        for lam, c in f.terms.items()
-    )
+    return algebra_map(f, partial(_gen_image, f.basis, dst), SymF.one(dst))
 
 
 # -- Kostka numbers and the m, s transitions ----------------------------------
@@ -302,9 +293,8 @@ def hall_pairing(f: SymF, g: SymF) -> Fraction:
 
 def sym_realize(f: SymF, nvars: int) -> SparsePoly:
     """Evaluate in x1..xk as a product of e_k = M_(1^k) in the e basis."""
-    return SparsePoly.sum(
-        reduce(mul, (qsym_realize((1,) * k, nvars) for k in lam), SparsePoly.one()) * c
-        for lam, c in sym_convert(f, "e").terms.items()
+    return algebra_map(
+        sym_convert(f, "e"), lambda k: qsym_realize((1,) * k, nvars), SparsePoly.one()
     )
 
 
@@ -327,10 +317,8 @@ def abelianize_ncf(x: NCF, naming: str = "sym"):
     raise ValueError(f"unknown naming {naming!r}")
 
 
-def abelianize_tensor(t: TensorNCF, naming: str = "diffeo") -> SparsePoly:
+def abelianize_tensor(t: TensorNCF) -> SparsePoly:
     """Tensor-square abelianization onto polynomials: left slot t_i, right t_i'."""
-    if naming != "diffeo":
-        raise ValueError("tensor abelianization targets the diffeo naming")
     return SparsePoly.sum(
         SparsePoly.monomial(Counter([f"t{i}" for i in w1] + [f"t{i}'" for i in w2]), c)
         for (w1, w2), c in t.terms.items()

@@ -19,6 +19,7 @@ from toricnet.crn import (
     toric_binomials,
     tree_constants,
 )
+from toricnet.crn.parser import Reaction
 from toricnet.crn.trees import matrix_tree_cofactor
 from toricnet.errors import (
     InputError,
@@ -140,6 +141,34 @@ class TestStructure:
         assert len(cay) == 6
         assert list(cay[4]) == [1, 1, 0, 0]
         assert list(cay[5]) == [0, 0, 1, 1]
+
+    def test_components_match_networkx_on_random_digraphs(self):
+        # networkx finds the components independently; the digraphs have up
+        # to 12 nodes, isolated nodes, parallel arcs and 2-cycles
+        import random
+
+        import networkx as nx
+
+        def canonical(components):
+            return sorted(sorted(c) for c in components)
+
+        rng = random.Random(20191)
+        for _ in range(240):
+            n = rng.randint(1, 12)
+            density = rng.choice((0.05, 0.15, 0.3, 0.6))
+            arcs = [(s, t) for s in range(n) for t in range(n) if s != t and rng.random() < density]
+            arcs += [(t, s) for s, t in rng.sample(arcs, len(arcs) // 4)]
+            arcs += rng.sample(arcs, len(arcs) // 5)
+            rng.shuffle(arcs)
+            net = Network(
+                species=tuple(f"X{i}" for i in range(n)),
+                complexes=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                reactions=tuple(Reaction(s, t, Fraction(1)) for s, t in arcs),
+            )
+            graph = nx.MultiDiGraph(arcs)
+            graph.add_nodes_from(range(n))
+            assert strong_components(net) == canonical(nx.strongly_connected_components(graph))
+            assert linkage_classes(net) == canonical(nx.weakly_connected_components(graph))
 
 
 class TestTrees:

@@ -230,6 +230,13 @@ class TestSym:
         diff = QSF.monomial((1, 2)) - QSF.monomial((2, 1))
         assert qsf_to_sym(diff) == SymF("m", {})
 
+    def test_mixed_multiplicative_product_has_no_degree_cap(self):
+        # e, h and p convert into each other for any degree; the product is
+        # in the basis of the left operand
+        product = SymF.gen("e", 6) * SymF.gen("h", 5)
+        assert product.basis == "e"
+        assert product == SymF.gen("e", 6) * sym_convert(SymF.gen("h", 5), "e")
+
     def test_abelianize(self):
         assert abelianize_ncf(NCF.gen(2), "sym") == SymF.element("e", (2,))
         assert abelianize_ncf(NCF.gen(2), "diffeo").render() == "t2"

@@ -93,6 +93,45 @@ def test_equal_elements_hash_equal(name, data):
         assert hash(other) == hash(x)
 
 
+# Products checked against a plain-dict bilinear expansion: each pair of
+# terms multiplies its coefficients into the combined key.
+PRODUCT_KEYS = {
+    "NCF": (words, NCF, lambda a, b: a + b),
+    "TensorNCF": (st.tuples(words, words), TensorNCF, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    "BetaNCF": (
+        st.tuples(st.integers(0, 2), words),
+        BetaNCF,
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    ),
+    "SymF": (partitions, None, lambda a, b: tuple(sorted(a + b, reverse=True))),
+}
+
+
+def _bilinear(x_terms: dict, y_terms: dict, key_mul) -> dict:
+    out = {}
+    for a, ca in x_terms.items():
+        for b, cb in y_terms.items():
+            key = key_mul(a, b)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_KEYS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_product_equals_bilinear_expansion(name, data):
+    keys, cls, key_mul = PRODUCT_KEYS[name]
+    x_terms = data.draw(_terms(keys))
+    y_terms = data.draw(_terms(keys))
+    if cls is None:
+        basis = data.draw(st.sampled_from(("e", "h", "p")))
+        product = SymF(basis, x_terms) * SymF(basis, y_terms)
+        assert product.basis == basis
+    else:
+        product = cls(x_terms) * cls(y_terms)
+    assert product.terms == _bilinear(x_terms, y_terms, key_mul)
+
+
 def _from_terms_json(cls, payload, *basis):
     return cls(*basis, {tuple(t["index"]): Fraction(t["coeff"]) for t in payload["terms"]})
 
