@@ -39,16 +39,13 @@ def _in_trees(nodes: list[int], edges: dict, root: int) -> SparsePoly:
     A weight of several terms (parallel reactions, k1 + k2) is split into
     parallel single-term edges first, which by distributivity gives the same
     sum. The walk then carries exponent counts and a coefficient product, so
-    each tree costs one monomial and no polynomial product. Integral
-    coefficients are multiplied as ints and made Fractions once per term.
+    each tree costs one monomial and no polynomial product.
     """
     others = [v for v in nodes if v != root]
     out_choices = {v: [] for v in others}
     for (s, t), w in edges.items():
         if s != root:
-            out_choices[s].extend(
-                (t, m, c.numerator if c.denominator == 1 else c) for m, c in w.terms.items()
-            )
+            out_choices[s].extend((t, m, c) for m, c in w.terms.items())
     parent: dict = {}
     powers: dict = {}
     out: dict = {}
@@ -83,7 +80,7 @@ def _in_trees(nodes: list[int], edges: dict, root: int) -> SparsePoly:
             del parent[v]
 
     rec(0, 1)
-    return SparsePoly._trusted({m: Fraction(c) for m, c in out.items()})
+    return SparsePoly._trusted(out)
 
 
 def matrix_tree_cofactor(block, root: int, row: int):
@@ -98,15 +95,15 @@ def matrix_tree_cofactor(block, root: int, row: int):
         for r in range(nu)
         if r != row
     ]
-    sign = Fraction((-1) ** (nu - 1) * (-1) ** (root + row))
+    sign = (-1) ** (nu - 1) * (-1) ** (root + row)
     det = ff_determinant(minor) if minor else (
-        SparsePoly.one() if isinstance(block[0][0], SparsePoly) else Fraction(1)
+        SparsePoly.one() if isinstance(block[0][0], SparsePoly) else 1
     )
     return det * sign
 
 
 def tree_constants(net: Network, bindings: dict | None = None) -> list:
-    """K_i for every complex i; SparsePoly when symbolic, Fraction otherwise."""
+    """K_i for every complex i; SparsePoly when symbolic, a rational otherwise."""
     symbolic = bindings is None and any(isinstance(r.rate, str) for r in net.reactions)
     classes = linkage_classes(net)
     strong = {tuple(c) for c in strong_components(net)}

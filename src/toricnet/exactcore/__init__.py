@@ -2,9 +2,11 @@
 sparse polynomials on the shared ``Terms`` core, and truncated power series
 over pluggable rings.
 
-The rational scalar type is ``fractions.Fraction`` (re-exported as
+Exact rationals are Python ints and ``fractions.Fraction`` (re-exported as
 ``Rational``): arbitrary precision, always normalized with positive
-denominator, hashable and usable as dict keys.
+denominator, hashable and usable as dict keys. The sparse algebras store a
+coefficient with denominator 1 as an ``int`` and any other as a ``Fraction``
+(see ``terms.py``).
 """
 
 from fractions import Fraction as Rational

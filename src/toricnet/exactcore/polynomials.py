@@ -4,8 +4,9 @@ A ``SparsePoly`` is a ``Terms`` element whose keys are monomials: tuples of
 ``(variable name, exponent)`` pairs sorted by name, every exponent at least
 1, with ``()`` the constant monomial. A monomial names its own variables, so
 polynomials built independently (say over ``k1`` and over ``k2``) combine
-with no shared state and nothing to align. Coefficients are
-``fractions.Fraction``; arithmetic is exact.
+with no shared state and nothing to align. Coefficients are exact
+rationals, stored as ``int`` when integral and as ``fractions.Fraction``
+otherwise; arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _monomial_mul(a: tuple, b: tuple) -> tuple:
 
 
 class SparsePoly(Terms):
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with rational (int or Fraction) coefficients.
 
     Structural equality is mathematical equality: monomials are canonical
     and zero coefficients are dropped.
@@ -66,7 +67,7 @@ class SparsePoly(Terms):
 
     @classmethod
     def variable(cls, name: str) -> "SparsePoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, powers: Mapping[str, int], coeff: Scalar = 1) -> "SparsePoly":
@@ -120,16 +121,16 @@ class SparsePoly(Terms):
     def is_constant(self) -> bool:
         return all(not m for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def total_degree(self) -> int:
         return max((sum(exp for _, exp in m) for m in self.terms), default=0)
 
-    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
-        return self.terms.get(_monomial_key(powers), Fraction(0))
+    def coefficient(self, powers: Mapping[str, int]) -> Scalar:
+        return self.terms.get(_monomial_key(powers), 0)
 
     def substitute(self, values: Mapping[str, "SparsePoly | Scalar"]) -> "SparsePoly":
         """Substitute polynomials or scalars for (a subset of) the variables."""

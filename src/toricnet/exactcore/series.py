@@ -6,7 +6,7 @@ clamp to the minimum order of the operands.
 
 Coefficients live in any associative unital Q-algebra. A series' ``ring`` is
 the coefficient class itself (``SparsePoly``, ``NCF``, ``BetaNCF``, ...), or
-``QRing`` for plain ``Fraction`` coefficients. The ring protocol is:
+``QRing`` for plain int/``Fraction`` coefficients. The ring protocol is:
 
 * ``ring.zero()`` and ``ring.one()``;
 * ``ring.sum(iterable)``, the sum of the elements in one pass (zero when the
@@ -32,19 +32,20 @@ from operator import mul
 
 
 class QRing:
-    """Coefficient ring of plain rationals: ``Fraction`` has no ``zero``/``one``/``sum``."""
+    """Coefficient ring of plain rationals (int or ``Fraction``), which have
+    no ``zero``/``one``/``sum``."""
 
     @staticmethod
     def one():
-        return Fraction(1)
+        return 1
 
     @staticmethod
     def zero():
-        return Fraction(0)
+        return 0
 
     @staticmethod
     def sum(items):
-        return sum(items, Fraction(0))
+        return sum(items)
 
 
 def _collect(ring, pairs) -> dict:

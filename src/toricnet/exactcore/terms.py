@@ -6,8 +6,13 @@ partitions (``SymF``), (beta power, word) pairs (``BetaNCF``) and monomials
 (``SparsePoly``). A subclass supplies ``_check_key`` and a product of two
 keys, which its ``__mul__`` hands to ``_product``; the multiply-and-accumulate
 loop and everything linear live here, and ``algebra_map`` extends a map on
-generators multiplicatively. Coefficients are ``Fraction``: an int is
-converted, anything else is refused with ``TypeError``.
+generators multiplicatively.
+
+Coefficients are exact rationals in canonical form: a value with denominator
+1 is stored as an ``int`` and any other value as a ``Fraction``, so products
+and sums of integral coefficients run on Python ints. Both constructors keep
+this form; anything but an int or a ``Fraction`` (a float, say) is refused
+with ``TypeError``.
 
 Add many elements with ``X.sum(...)``: it merges every summand into one dict
 and builds the result once, while a loop of ``out = out + term`` copies
@@ -18,7 +23,8 @@ Construction is validated or trusted. The public constructor (``NCF(...)``,
 key and coefficient, because that is where outside data (JSON, CLI text,
 user code) comes in. Results computed from elements that were already
 checked (ring products, sums, negations and scalar multiples) go through
-``_trusted``, which only drops zero coefficients. Trust is per element:
+``_trusted``, which only drops zero coefficients and narrows a ``Fraction``
+with denominator 1 to its numerator. Trust is per element:
 ``sum`` refuses a summand of another class with one ``isinstance`` each.
 """
 
@@ -35,7 +41,8 @@ def key_str(letter: str, key: tuple) -> str:
 
 
 class Terms:
-    """Immutable map key -> nonzero Fraction, with the vector-space operations."""
+    """Immutable map key -> nonzero int or non-integral Fraction, with the
+    vector-space operations."""
 
     __slots__ = ("terms",)
 
@@ -45,10 +52,13 @@ class Terms:
         check = self._check_key
         clean = {}
         for k, c in (terms or {}).items():
-            if not isinstance(c, Fraction):
-                if not isinstance(c, int):
+            if type(c) is not int:
+                if isinstance(c, Fraction):
+                    c = c.numerator if c.denominator == 1 else c
+                elif isinstance(c, int):
+                    c = int(c)
+                else:
                     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
-                c = Fraction(c)
             if c:
                 clean[check(k)] = c
         object.__setattr__(self, "terms", clean)
@@ -58,10 +68,14 @@ class Terms:
 
     @classmethod
     def _trusted(cls, terms):
-        """An element over keys and Fraction coefficients that are already
-        checked: no key is validated, only zero coefficients are dropped."""
+        """An element over keys and int/Fraction coefficients that are already
+        checked: no key is validated, zero coefficients are dropped and a
+        ``Fraction`` with denominator 1 becomes its numerator."""
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(self, "terms", {
+            k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in terms.items() if c
+        })
         return self
 
     # -- per-class hooks ---------------------------------------------------
@@ -99,7 +113,7 @@ class Terms:
 
     @classmethod
     def one(cls):
-        return cls({cls._unit_key: Fraction(1)})
+        return cls({cls._unit_key: 1})
 
     @classmethod
     def sum(cls, items):
@@ -172,8 +186,8 @@ class Terms:
 
     # -- reading -----------------------------------------------------------
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(self._check_key(key), Fraction(0))
+    def coeff(self, key) -> int | Fraction:
+        return self.terms.get(self._check_key(key), 0)
 
     def sorted_terms(self):
         order = self._order

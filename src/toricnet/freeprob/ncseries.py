@@ -10,7 +10,6 @@ Both forms are returned; neither is privileged.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from ..errors import InputError
@@ -27,7 +26,7 @@ class NCCumulants(NamedTuple):
 def _flip_sign(f: TruncSeries) -> TruncSeries:
     """Substitute x -> -x."""
     return TruncSeries(
-        f.ring, f.order, 1, {e: c * Fraction((-1) ** e[0]) for e, c in f.coeffs.items()}
+        f.ring, f.order, 1, {e: c * (-1) ** e[0] for e, c in f.coeffs.items()}
     )
 
 

@@ -17,7 +17,7 @@ from ..exactcore import QRing, TruncSeries
 
 
 def _q_series(coeffs: dict, order: int) -> TruncSeries:
-    return TruncSeries(QRing, order, 1, {(k,): Fraction(c) for k, c in coeffs.items() if c})
+    return TruncSeries(QRing, order, 1, {(k,): c for k, c in coeffs.items() if c})
 
 
 def _check_moments(m) -> list[Fraction]:
@@ -35,7 +35,7 @@ def moments_to_free_cumulants(m) -> list[Fraction]:
     n = len(m) - 1
     gamma = _q_series({k + 1: c for k, c in enumerate(m)}, n + 1)
     k_series = gamma.comp_inverse().shift_down().mult_inverse()
-    return [k_series.coeffs.get((i,), Fraction(0)) for i in range(1, n + 1)]
+    return [k_series.coeffs.get((i,), 0) for i in range(1, n + 1)]
 
 
 def free_cumulants_to_moments(kappa) -> list[Fraction]:
@@ -45,12 +45,12 @@ def free_cumulants_to_moments(kappa) -> list[Fraction]:
     if n == 0:
         raise InputError("need at least kappa_1")
     k_coeffs = {i + 1: c for i, c in enumerate(kappa)}
-    k_coeffs[0] = Fraction(1)
+    k_coeffs[0] = 1
     # order n+1 with kappa_{n+1} = 0; that slot feeds only coefficients past m_n
     k_series = _q_series(k_coeffs, n + 1)
     gamma_inv = _q_series({1: 1}, n + 1) * k_series.mult_inverse()
     gamma = gamma_inv.comp_inverse()
-    return [gamma.coeffs.get((i + 1,), Fraction(0)) for i in range(n + 1)]
+    return [gamma.coeffs.get((i + 1,), 0) for i in range(n + 1)]
 
 
 def classical_cumulants(m) -> list[Fraction]:
@@ -59,7 +59,7 @@ def classical_cumulants(m) -> list[Fraction]:
     n = len(m) - 1
     egf = _q_series({k: Fraction(c, factorial(k)) for k, c in enumerate(m)}, n)
     logf = egf.log()
-    return [factorial(i) * logf.coeffs.get((i,), Fraction(0)) for i in range(1, n + 1)]
+    return [factorial(i) * logf.coeffs.get((i,), 0) for i in range(1, n + 1)]
 
 
 def classical_cumulants_to_moments(kappa) -> list[Fraction]:
@@ -70,7 +70,7 @@ def classical_cumulants_to_moments(kappa) -> list[Fraction]:
         raise InputError("need at least kappa_1")
     gen = _q_series({i + 1: Fraction(c, factorial(i + 1)) for i, c in enumerate(kappa)}, n)
     egf = gen.exp()
-    return [factorial(i) * egf.coeffs.get((i,), Fraction(0)) for i in range(n + 1)]
+    return [factorial(i) * egf.coeffs.get((i,), 0) for i in range(n + 1)]
 
 
 def hirzebruch_K(log_coeffs, order: int) -> list[Fraction]:
@@ -86,4 +86,4 @@ def hirzebruch_K(log_coeffs, order: int) -> list[Fraction]:
         raise InputError("order must be >= 1")
     log = _q_series({i + 1: c for i, c in enumerate(ell[: order + 1])}, order + 1)
     k_series = log.comp_inverse().shift_down().mult_inverse()
-    return [k_series.coeffs.get((i,), Fraction(0)) for i in range(order + 1)]
+    return [k_series.coeffs.get((i,), 0) for i in range(order + 1)]

@@ -29,7 +29,7 @@ def _check_beta_key(key) -> tuple:
 class BetaNCF(Terms):
     """Free-algebra element with polynomial beta coefficients.
 
-    terms: (beta_exponent, word) -> Fraction. beta is central; exponents add
+    terms: (beta_exponent, word) -> rational. beta is central; exponents add
     and words concatenate, slot by slot as in TensorNCF.
     """
 

@@ -76,7 +76,7 @@ def bfk_antipode(x: NCF) -> NCF:
     )
 
 
-def bfk_counit(x: NCF) -> Fraction:
+def bfk_counit(x: NCF) -> int | Fraction:
     return x.coeff(())
 
 

@@ -63,7 +63,7 @@ def ln_antipode(p: SparsePoly) -> SparsePoly:
     return p.substitute({name: ln_antipode_gen(_gen_index(name)) for name in p.vars})
 
 
-def ln_counit(p: SparsePoly) -> Fraction:
+def ln_counit(p: SparsePoly) -> int | Fraction:
     return p.substitute({name: 0 for name in p.vars}).constant_value()
 
 

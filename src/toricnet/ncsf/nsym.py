@@ -46,7 +46,7 @@ class NCF(Terms):
         """Z_i, with Z_0 = 1."""
         if i == 0:
             return cls.one()
-        return cls({(i,): Fraction(1)})
+        return cls({(i,): 1})
 
     @classmethod
     def word(cls, w, coeff=1) -> "NCF":
@@ -121,7 +121,7 @@ def _gen_coproduct(i: int) -> TensorNCF:
     for j in range(i + 1):
         w1 = (j,) if j else ()
         w2 = (i - j,) if i - j else ()
-        out[(w1, w2)] = Fraction(1)
+        out[(w1, w2)] = 1
     return TensorNCF(out)
 
 
@@ -157,7 +157,7 @@ def sigma_series(n_max: int) -> TruncSeries:
     """Solution of Sigma(T) * Z(-T) = 1 with the grouplike normalization."""
     z = z_series(n_max)
     z_neg = TruncSeries(
-        NCF, n_max, 1, {e: c * Fraction((-1) ** e[0]) for e, c in z.coeffs.items()}
+        NCF, n_max, 1, {e: c * (-1) ** e[0] for e, c in z.coeffs.items()}
     )
     return z_neg.mult_inverse()
 

@@ -83,9 +83,9 @@ def qsf_realize(x: QSF, k: int) -> SparsePoly:
     return SparsePoly.sum(qsym_realize(a, k) * c for a, c in x.terms.items())
 
 
-def pairing(x: NCF, q: QSF) -> Fraction:
+def pairing(x: NCF, q: QSF) -> int | Fraction:
     """<Z_alpha, M_beta> = delta, extended bilinearly."""
-    total = Fraction(0)
+    total = 0
     for w, c in x.terms.items():
         d = q.terms.get(w)
         if d is not None:
@@ -93,9 +93,9 @@ def pairing(x: NCF, q: QSF) -> Fraction:
     return total
 
 
-def tensor_pairing(t: TensorNCF, q1: QSF, q2: QSF) -> Fraction:
+def tensor_pairing(t: TensorNCF, q1: QSF, q2: QSF) -> int | Fraction:
     """<x (x) y, q (x) q'> = <x,q><y,q'> summed over the tensor terms."""
-    total = Fraction(0)
+    total = 0
     for (w1, w2), c in t.terms.items():
         d1 = q1.terms.get(w1)
         if d1 is None:

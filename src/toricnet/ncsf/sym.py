@@ -50,6 +50,9 @@ class SymF(Terms):
         return out
 
     def _aligned(self, other: "SymF") -> "SymF":
+        # e, h and p convert into each other with no degree cap
+        if self.basis in _MULTIPLICATIVE and other.basis in _MULTIPLICATIVE:
+            return _convert_multiplicative(other, self.basis)
         return sym_convert(other, self.basis)
 
     def _invariant(self):
@@ -66,7 +69,7 @@ class SymF(Terms):
 
     @classmethod
     def one(cls, basis: str = "e") -> "SymF":
-        return cls(basis, {(): Fraction(1)})
+        return cls(basis, {(): 1})
 
     @classmethod
     def gen(cls, basis: str, k: int, coeff=1) -> "SymF":
@@ -114,22 +117,22 @@ def _gen_image(src: str, dst: str, k: int) -> SymF:
     if (src, dst) in (("e", "h"), ("h", "e")):
         # H(t)E(-t) = 1  =>  x_n = sum_{j=1..n} (-1)^(j-1) y_j x_{n-j}
         return SymF.sum(
-            SymF.gen(dst, j) * _gen_image(src, dst, k - j) * Fraction((-1) ** (j - 1))
+            SymF.gen(dst, j) * _gen_image(src, dst, k - j) * (-1) ** (j - 1)
             for j in range(1, k + 1)
         )
     if src == "p" and dst == "e":
         # Newton: p_n = sum_{j<n} (-1)^(j-1) e_j p_{n-j} + (-1)^(n-1) n e_n
         return SymF.sum(
-            [SymF.gen("e", k) * Fraction((-1) ** (k - 1) * k)]
+            [SymF.gen("e", k) * ((-1) ** (k - 1) * k)]
             + [
-                SymF.gen("e", j) * _gen_image("p", "e", k - j) * Fraction((-1) ** (j - 1))
+                SymF.gen("e", j) * _gen_image("p", "e", k - j) * (-1) ** (j - 1)
                 for j in range(1, k)
             ]
         )
     if src == "e" and dst == "p":
         # e_n = (1/n) sum_{j=1..n} (-1)^(j-1) e_{n-j} p_j
         acc = SymF.sum(
-            _gen_image("e", "p", k - j) * SymF.gen("p", j) * Fraction((-1) ** (j - 1))
+            _gen_image("e", "p", k - j) * SymF.gen("p", j) * (-1) ** (j - 1)
             for j in range(1, k + 1)
         )
         return acc * Fraction(1, k)
@@ -230,7 +233,7 @@ def _apply_transition(piece: SymF, to: str, n: int) -> SymF:
 def schur_in_h(lam: tuple) -> SymF:
     """s_lambda in the h basis (the Jacobi-Trudi expansion): row lambda of K^-T."""
     lam = check_partition(lam)
-    return _apply_transition(SymF("s", {lam: Fraction(1)}), "h", sum(lam))
+    return _apply_transition(SymF("s", {lam: 1}), "h", sum(lam))
 
 
 # -- the public conversion -----------------------------------------------------
@@ -270,20 +273,20 @@ def involution(f: SymF, which: str) -> SymF:
     """
     if which == "sign":
         in_e = sym_convert(f, "e")
-        flipped = SymF("e", {lam: c * Fraction((-1) ** sum(lam)) for lam, c in in_e.terms.items()})
+        flipped = SymF("e", {lam: c * (-1) ** sum(lam) for lam, c in in_e.terms.items()})
         return sym_convert(flipped, f.basis)
     if which == "inverse":
         in_e = sym_convert(f, "e")
-        in_h = SymF("h", {lam: c * Fraction((-1) ** sum(lam)) for lam, c in in_e.terms.items()})
+        in_h = SymF("h", {lam: c * (-1) ** sum(lam) for lam, c in in_e.terms.items()})
         return sym_convert(in_h, f.basis)
     raise ValueError(f"unknown involution {which!r}")
 
 
-def hall_pairing(f: SymF, g: SymF) -> Fraction:
+def hall_pairing(f: SymF, g: SymF) -> int | Fraction:
     """Hall inner product, computed from <h_lambda, m_mu> = delta."""
     fh = sym_convert(f, "h")
     gm = sym_convert(g, "m")
-    total = Fraction(0)
+    total = 0
     for lam, c in fh.terms.items():
         d = gm.terms.get(lam)
         if d is not None:

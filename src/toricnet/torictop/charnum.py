@@ -39,7 +39,7 @@ def class_product(q: QuasitoricData, a: ClassDict, b: ClassDict) -> ClassDict:
 
 
 def _unit_class(m: int) -> ClassDict:
-    return {tuple([0] * m): Fraction(1)}
+    return {tuple([0] * m): 1}
 
 
 def elementary_class(q: QuasitoricData, k: int) -> ClassDict:
@@ -49,7 +49,7 @@ def elementary_class(q: QuasitoricData, k: int) -> ClassDict:
         e = [0] * q.m
         for i in chosen:
             e[i] = 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return _prune(q, out)
 
 def complete_class(q: QuasitoricData, k: int) -> ClassDict:
@@ -65,7 +65,7 @@ def complete_class(q: QuasitoricData, k: int) -> ClassDict:
 
 
 def linear_class(q: QuasitoricData, coeffs) -> ClassDict:
-    """sum coeffs[i] * v_{i+1}."""
+    """sum coeffs[i] * v_{i+1}; an integral coefficient is kept as an int."""
     if len(coeffs) != q.m:
         raise InputError(f"linear form needs {q.m} coefficients")
     out: ClassDict = {}
@@ -73,7 +73,8 @@ def linear_class(q: QuasitoricData, coeffs) -> ClassDict:
         if c:
             e = [0] * q.m
             e[i] = 1
-            out[tuple(e)] = Fraction(c)
+            c = Fraction(c)
+            out[tuple(e)] = c.numerator if c.denominator == 1 else c
     return _prune(q, out)
 
 
@@ -84,7 +85,7 @@ def class_power(q: QuasitoricData, cls: ClassDict, k: int) -> ClassDict:
     return out
 
 
-def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> Fraction:
+def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int | Fraction:
     """c_I[M] for a partition I of n; bundle 'tangent' or 'normal'."""
     parts = [int(p) for p in partition]
     if sum(parts) != q.n:
@@ -97,7 +98,7 @@ def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> Frac
             factor = elementary_class(q, p)
         else:
             factor = complete_class(q, p)
-            factor = {e: c * Fraction((-1) ** p) for e, c in factor.items()}
+            factor = {e: c * (-1) ** p for e, c in factor.items()}
         cls = class_product(q, cls, factor)
     return eval_context(q).evaluate_class(cls)
 
@@ -107,14 +108,14 @@ class MxiClass:
     """Composition-indexed rational table; weight-n rows form the top class."""
 
     degree: int
-    table: tuple  # sorted tuple of (composition, Fraction)
+    table: tuple  # sorted tuple of (composition, int or Fraction)
 
-    def value(self, alpha) -> Fraction:
+    def value(self, alpha) -> int | Fraction:
         alpha = tuple(int(x) for x in alpha)
         for comp, val in self.table:
             if comp == alpha:
                 return val
-        return Fraction(0)
+        return 0
 
     def to_ncf(self) -> NCF:
         return NCF({comp: val for comp, val in self.table if val and len(comp) > 0})
@@ -166,7 +167,7 @@ def hamiltonian_numbers(q: QuasitoricData, u_coeffs, convention: str = "mxi") ->
                 cls = u_pow
                 for p in lam:
                     cls = class_product(q, cls, complete_class(q, p))
-                rows.append((lam, Fraction((-1) ** i) * ctx.evaluate_class(cls)))
+                rows.append((lam, (-1) ** i * ctx.evaluate_class(cls)))
     else:
         raise InputError(f"unknown convention {convention!r}")
     return MxiClass(degree=q.n, table=tuple(rows))

@@ -174,18 +174,18 @@ class EvalContext:
                 raise InternalError(
                     f"evaluation of {e} at t = {t} is {Fraction(num, den)}, not an integer"
                 )
-            self.phi.append(Fraction(num // den))
+            self.phi.append(num // den)
 
-    def evaluate_monomial(self, e: Monomial) -> Fraction:
+    def evaluate_monomial(self, e: Monomial) -> int:
         if sum(e) != self.q.n:
             raise InputError(f"monomial degree {sum(e)} != {self.q.n}")
         if e not in self.index:
-            return Fraction(0)  # support is a non-face
+            return 0  # support is a non-face
         return self.phi[self.index[e]]
 
-    def evaluate_class(self, cls: dict) -> Fraction:
+    def evaluate_class(self, cls: dict) -> int | Fraction:
         """cls: exponent tuple -> coefficient, all of top degree."""
-        total = Fraction(0)
+        total = 0
         for e, c in cls.items():
             if c:
                 total += c * self.evaluate_monomial(e)
@@ -209,7 +209,7 @@ def eval_context(q: QuasitoricData) -> EvalContext:
     return ctx
 
 
-def top_evaluate(q: QuasitoricData, monomial) -> Fraction:
+def top_evaluate(q: QuasitoricData, monomial) -> int:
     """Evaluate a degree-n monomial in v_1..v_m against the fundamental class.
 
     `monomial` is either an exponent tuple of length m or a mapping

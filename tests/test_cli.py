@@ -99,6 +99,30 @@ class TestCrn:
         assert code == 0
         assert "residual = " in out
 
+    def test_steady_large_psi_is_verified_relatively(self, run):
+        # deficiency zero, so complex balanced for every rate vector; the
+        # min-norm point has Psi(c) near 1e11, where an absolute balancing
+        # threshold fails on rounding alone
+        source = (
+            "2B -> 2A + B : k1\n2B -> A + 2B : k2\n"
+            "2A + B -> A + 2B : k3\nA + 2B -> 2B : k4"
+        )
+        code, out = run(
+            "crn", "steady", source, "--bindings", "k1=9/4,k2=9,k3=9,k4=1/9", "--format", "json"
+        )
+        assert code == 0
+        conc = json.loads(out)["concentrations"]
+        a, b = conc["A"], conc["B"]
+        k1, k2, k3, k4 = 9 / 4, 9, 9, 1 / 9
+        psi = {"2B": b * b, "2A+B": a * a * b, "A+2B": a * b * b}
+        # inflow minus outflow at each complex
+        net_flow = [
+            k4 * psi["A+2B"] - (k1 + k2) * psi["2B"],
+            k1 * psi["2B"] - k3 * psi["2A+B"],
+            k2 * psi["2B"] + k3 * psi["2A+B"] - k4 * psi["A+2B"],
+        ]
+        assert max(map(abs, net_flow)) <= 1e-9 * max(psi.values())
+
     def test_simulate(self, run, triangle_file):
         code, out = run(
             "crn", "simulate", triangle_file, "--c0", "3,0,0", "--t-end", "5", "--dt", "0.01"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricnet.errors import InputError
 from toricnet.exactcore import TruncSeries
 from toricnet.ncsf import (
     NCF,
@@ -236,6 +237,23 @@ class TestSym:
         product = SymF.gen("e", 6) * SymF.gen("h", 5)
         assert product.basis == "e"
         assert product == SymF.gen("e", 6) * sym_convert(SymF.gen("h", 5), "e")
+
+    def test_mixed_multiplicative_compare_and_add_have_no_degree_cap(self):
+        # ==, +, - and sum convert the right operand into the left one's
+        # basis; among e, h and p that needs no Kostka matrix
+        eh = SymF.gen("e", 6) * SymF.gen("h", 5)
+        he = SymF.gen("h", 5) * SymF.gen("e", 6)
+        assert (eh.basis, he.basis) == ("e", "h")
+        assert eh == he and he == eh
+        assert hash(eh) == hash(he)
+        assert (eh + he).basis == "e"
+        assert eh + he == eh * 2
+        assert not eh - he
+        assert SymF.sum([he, eh, -he]) == he
+        assert SymF.gen("p", 6) * SymF.gen("e", 5) == SymF.gen("e", 5) * SymF.gen("p", 6)
+        # the m and s bases still go through the capped Kostka matrices
+        with pytest.raises(InputError):
+            eh == SymF.element("m", (11,))
 
     def test_abelianize(self):
         assert abelianize_ncf(NCF.gen(2), "sym") == SymF.element("e", (2,))

@@ -5,13 +5,17 @@ All six must sum in one pass exactly as a chain of ``+`` does, hash
 consistently with ``==``, refuse mutation, and the four rendered types must
 survive a JSON round trip. Results built by the trusted constructor (ring
 products, sums, negations, scalar multiples) must be exactly what the
-validating constructor would build from the same terms.
+validating constructor would build from the same terms, and every stored
+coefficient is in canonical form: an int, or a Fraction that is not an
+integer.
 """
 
 import json
 import operator
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +189,11 @@ def test_beta_keys_are_checked(key):
         BetaNCF({key: 1})
 
 
+def _canonical(c) -> bool:
+    """An int, or a Fraction that is not an integer: the stored coefficient form."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def _revalidated(x):
     """x rebuilt from its terms through the validating public constructor."""
     if isinstance(x, SymF):
@@ -207,11 +216,111 @@ def test_trusted_results_survive_revalidation(name, data):
     for result in results:
         assert type(result) is type(x)
         assert all(c != 0 for c in result.terms.values())
-        assert all(type(c) is Fraction for c in result.terms.values())
+        assert all(_canonical(c) for c in result.terms.values())
         assert _revalidated(result).terms == result.terms
     if name == "SymF":
         # a SymF result is in the basis of its left operand
         assert [r.basis for r in results] == [x.basis, y.basis] + [x.basis] * 6
+
+
+# The canonical-form oracle: keys and their products as plain data, and
+# coefficients as plain-dict Fraction arithmetic. A key product is a dict
+# key -> multiplicity (the quasi-shuffle has several terms).
+
+
+def _stuffles(a: tuple, b: tuple) -> dict:
+    """M_a * M_b by placement: a's and b's parts go, in order, to index sets
+    that cover 1..L; parts placed at one index add."""
+    out: dict = {}
+    for length in range(max(len(a), len(b)), len(a) + len(b) + 1):
+        for sa in combinations(range(length), len(a)):
+            rest = [i for i in range(length) if i not in sa]
+            for extra in combinations(sa, len(b) - len(rest)):
+                sb = sorted(rest + list(extra))
+                comp = [0] * length
+                for i, part in zip(sa, a):
+                    comp[i] += part
+                for i, part in zip(sb, b):
+                    comp[i] += part
+                key = tuple(comp)
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _monomial_product(a: tuple, b: tuple) -> dict:
+    powers = Counter(dict(a))
+    powers.update(dict(b))
+    return {tuple(sorted(powers.items())): 1}
+
+
+monomials = st.tuples(*[st.integers(0, 2)] * 3).map(
+    lambda e: tuple((name, p) for name, p in zip("xyz", e) if p)
+)
+
+CANONICAL = {
+    "NCF": (words, NCF, lambda a, b: {a + b: 1}),
+    "TensorNCF": (st.tuples(words, words), TensorNCF, lambda a, b: {(a[0] + b[0], a[1] + b[1]): 1}),
+    "QSF": (words, QSF, _stuffles),
+    "SymF": (partitions, None, lambda a, b: {tuple(sorted(a + b, reverse=True)): 1}),
+    "BetaNCF": (
+        st.tuples(st.integers(0, 2), words),
+        BetaNCF,
+        lambda a, b: {(a[0] + b[0], a[1] + b[1]): 1},
+    ),
+    "SparsePoly": (monomials, SparsePoly, _monomial_product),
+}
+
+
+def _oracle_linear(*scaled_terms) -> dict:
+    """sum of c * terms over (c, terms) pairs, in Fractions, zeros dropped."""
+    out: dict = {}
+    for scale, terms in scaled_terms:
+        for k, c in terms.items():
+            out[k] = out.get(k, Fraction(0)) + Fraction(scale) * Fraction(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _oracle_product(x_terms: dict, y_terms: dict, key_mul) -> dict:
+    out: dict = {}
+    for a, ca in x_terms.items():
+        for b, cb in y_terms.items():
+            for k, mult in key_mul(a, b).items():
+                out[k] = out.get(k, Fraction(0)) + Fraction(ca) * Fraction(cb) * mult
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_coefficients_are_canonical(name, data):
+    keys, cls, key_mul = CANONICAL[name]
+    if cls is None:
+        cls = partial(SymF, data.draw(st.sampled_from(("e", "h", "p"))))
+    x_terms = data.draw(_terms(keys))
+    y_terms = data.draw(_terms(keys))
+    k = data.draw(st.integers(1, 6))
+    x, y = cls(x_terms), cls(y_terms)
+    x_terms, y_terms = dict(x.terms), dict(y.terms)  # keys in canonical form
+    scaled = x * Fraction(1, k)
+    checks = [
+        (x + y, _oracle_linear((1, x_terms), (1, y_terms))),
+        (x - y, _oracle_linear((1, x_terms), (-1, y_terms))),
+        (-x, _oracle_linear((-1, x_terms))),
+        (x * y, _oracle_product(x_terms, y_terms, key_mul)),
+        (scaled, _oracle_linear((Fraction(1, k), x_terms))),
+        (scaled * k, _oracle_linear((1, x_terms))),
+        (k * scaled, _oracle_linear((1, x_terms))),
+        (type(x).sum([x, y, scaled]), _oracle_linear((1 + Fraction(1, k), x_terms), (1, y_terms))),
+    ]
+    for result, expected in checks:
+        assert all(_canonical(c) for c in result.terms.values())
+        assert result.terms == expected
+    # halving and doubling an integral element gives back ints
+    integral = x * 6  # every drawn denominator divides 6
+    assert all(type(c) is int for c in integral.terms.values())
+    round_trip = integral * Fraction(1, 2) * 2
+    assert round_trip == integral
+    assert all(type(c) is int for c in round_trip.terms.values())
 
 
 @pytest.mark.parametrize(
