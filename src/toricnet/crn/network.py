@@ -117,13 +117,13 @@ def stoichiometric_rank(net: Network) -> int:
 
 def cayley_matrix(net: Network) -> list[list[int]]:
     """(s + l) x n integer matrix: Y on top, linkage-class indicators below."""
-    classes = linkage_classes(net)
+    return _cayley(net, linkage_classes(net))
+
+
+def _cayley(net: Network, classes) -> list[list[int]]:
     n = net.n_complexes
     top = [[net.complexes[col][row] for col in range(n)] for row in range(net.n_species)]
-    bottom = []
-    for cls in classes:
-        bottom.append([1 if col in cls else 0 for col in range(n)])
-    return top + bottom
+    return top + [[1 if col in cls else 0 for col in range(n)] for cls in classes]
 
 
 @dataclass(frozen=True)
@@ -138,25 +138,28 @@ class NetworkAnalysis:
 
 def deficiency(net: Network) -> int:
     """delta = n - l - s', cross-checked against n - rank(Cayley)."""
-    n = net.n_complexes
-    l = len(linkage_classes(net))
+    return analyze(net).deficiency
+
+
+def analyze(net: Network) -> NetworkAnalysis:
+    """Every structural invariant, each piece computed once; the deficiency
+    n - l - s' is cross-checked against n - rank(Cayley)."""
+    linkage = linkage_classes(net)
+    strong = strong_components(net)
     s_rank = stoichiometric_rank(net)
-    delta = n - l - s_rank
-    cay = cayley_matrix(net)
+    cay = _cayley(net, linkage)
+    n = net.n_complexes
+    delta = n - len(linkage) - s_rank
     delta_rank = n - rank([[Fraction(x) for x in row] for row in cay])
     if delta != delta_rank:
         raise InternalError(
             f"deficiency formulas disagree: n-l-s'={delta}, n-rank(Cayley)={delta_rank}"
         )
-    return delta
-
-
-def analyze(net: Network) -> NetworkAnalysis:
     return NetworkAnalysis(
-        linkage_classes=tuple(tuple(c) for c in linkage_classes(net)),
-        strong_components=tuple(tuple(c) for c in strong_components(net)),
-        weakly_reversible=is_weakly_reversible(net),
-        stoich_rank=stoichiometric_rank(net),
-        deficiency=deficiency(net),
-        cayley=tuple(tuple(row) for row in cayley_matrix(net)),
+        linkage_classes=tuple(map(tuple, linkage)),
+        strong_components=tuple(map(tuple, strong)),
+        weakly_reversible=sorted(linkage) == sorted(strong),
+        stoich_rank=s_rank,
+        deficiency=delta,
+        cayley=tuple(map(tuple, cay)),
     )

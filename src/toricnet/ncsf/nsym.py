@@ -14,7 +14,6 @@ Z(T) = 1 + Z_1 T + Z_2 T^2 + ...
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -50,7 +49,7 @@ class NCF(Terms):
 
     @classmethod
     def word(cls, w, coeff=1) -> "NCF":
-        return cls({tuple(w): Fraction(coeff)})
+        return cls({tuple(w): coeff})
 
     # Its own def, not inherited: perfbench/tracer.py patches NCF.__add__ by
     # identity in the class namespace.

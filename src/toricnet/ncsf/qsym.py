@@ -29,7 +29,7 @@ class QSF(Terms):
 
     @classmethod
     def monomial(cls, alpha, coeff=1) -> "QSF":
-        return cls({tuple(alpha): Fraction(coeff)})
+        return cls({tuple(alpha): coeff})
 
     def __mul__(self, other):
         if not isinstance(other, QSF):

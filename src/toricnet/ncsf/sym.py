@@ -75,12 +75,12 @@ class SymF(Terms):
     def gen(cls, basis: str, k: int, coeff=1) -> "SymF":
         """Single generator e_k / h_k / p_k, or basis element m_(k), s_(k)."""
         if k == 0:
-            return cls(basis, {(): Fraction(coeff)})
-        return cls(basis, {(k,): Fraction(coeff)})
+            return cls(basis, {(): coeff})
+        return cls(basis, {(k,): coeff})
 
     @classmethod
     def element(cls, basis: str, lam, coeff=1) -> "SymF":
-        return cls(basis, {tuple(lam): Fraction(coeff)})
+        return cls(basis, {tuple(lam): coeff})
 
     def __mul__(self, other):
         if not isinstance(other, SymF):

@@ -8,7 +8,7 @@ and the associated space carries complex-projective quasitoric data.
 
 from __future__ import annotations
 
-from ..crn.network import Network, analyze, cayley_matrix
+from ..crn.network import Network, analyze
 from ..errors import DeficiencyNonzero, NonSmooth, NotWeaklyReversible
 from ..exactcore import smith_normal_form, transpose
 from .charnum import MxiClass, mxi_numbers
@@ -22,7 +22,7 @@ def crn_to_toric(net: Network) -> tuple[QuasitoricData, MxiClass]:
         raise DeficiencyNonzero(info.deficiency)
     if not info.weakly_reversible:
         raise NotWeaklyReversible("network is not weakly reversible")
-    cols = transpose(cayley_matrix(net))
+    cols = transpose(info.cayley)
     edges = [[c - cols[0][i] for i, c in enumerate(col)] for col in cols[1:]]
     divisors = smith_normal_form(transpose(edges))
     bad = [d for d in divisors if d != 1]

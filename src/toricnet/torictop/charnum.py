@@ -1,104 +1,89 @@
 """Characteristic numbers from the v-class splitting.
 
+A class is a list of its restrictions to the torus fixed points, one integer
+per facet sigma in the order of ``EvalContext.basis``: v_i restricts to the
+tangent weight w_{sigma,i} for i in sigma and to 0 otherwise (see
+``quasitoric``). Restriction is a ring map, so products and powers are
+pointwise, and ``EvalContext.evaluate_class`` pairs a top-degree class with
+[M] by the fixed-point formula.
+
 Tangent Chern classes are elementary symmetric in v_1..v_m; the stable
 normal ones come from the e_k -> (-1)^k h_k involution. The composition-
-indexed family evaluates, for each composition alpha of n, the sum over
-increasing index tuples of v_{i_1}^{a_1} ... v_{i_l}^{a_l}; the result is
-read as a word-basis element of the free algebra. Hamiltonian variants mix
-in powers of a degree-2 class u and are tabulated for all weights <= n.
+indexed family evaluates, for each composition alpha of n, the quasisymmetric
+monomial function M_alpha(v), the sum over increasing index tuples of
+v_{i_1}^{a_1} ... v_{i_l}^{a_l}; the result is read as a word-basis element
+of the free algebra. Hamiltonian variants mix in powers of a degree-2 class u
+and are tabulated for all weights <= n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress
-from operator import add
+from math import lcm
+from operator import mul
 
 from ..errors import InputError
 from ..ncsf import NCF, compositions, partitions
 from .quasitoric import QuasitoricData, eval_context
 
-ClassDict = dict  # exponent tuple -> rational coefficient (int or Fraction)
+
+def class_product(q: QuasitoricData, a: list, b: list) -> list:
+    """The product of two classes, pointwise on their per-facet restrictions."""
+    return list(map(mul, a, b))
 
 
-def _prune(q: QuasitoricData, cls: ClassDict) -> ClassDict:
-    """Drop zero terms and terms whose support is not a face of the complex."""
-    supports = eval_context(q).supports
-    return {e: c for e, c in cls.items() if c and tuple(compress(range(len(e)), e)) in supports}
+def class_power(q: QuasitoricData, cls: list, k: int) -> list:
+    """cls^k, pointwise on its per-facet restrictions."""
+    return [x**k for x in cls]
 
 
-def class_product(q: QuasitoricData, a: ClassDict, b: ClassDict) -> ClassDict:
-    out: ClassDict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            p = ca * cb
-            out[e] = out[e] + p if e in out else p
-    return _prune(q, out)
-
-
-def _unit_class(m: int) -> ClassDict:
-    return {tuple([0] * m): 1}
-
-
-def elementary_class(q: QuasitoricData, k: int) -> ClassDict:
-    """e_k(v_1..v_m) in the face ring."""
-    out: ClassDict = {}
-    for chosen in combinations(range(q.m), k):
-        e = [0] * q.m
-        for i in chosen:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return _prune(q, out)
-
-def complete_class(q: QuasitoricData, k: int) -> ClassDict:
-    """h_k(v_1..v_m) in the face ring."""
-    out: ClassDict = {}
-    for chosen in combinations_with_replacement(range(q.m), k):
-        e = [0] * q.m
-        for i in chosen:
-            e[i] += 1
-        key = tuple(e)
-        out[key] = out[key] + 1 if key in out else 1
-    return _prune(q, out)
-
-
-def linear_class(q: QuasitoricData, coeffs) -> ClassDict:
-    """sum coeffs[i] * v_{i+1}; an integral coefficient is kept as an int."""
-    if len(coeffs) != q.m:
-        raise InputError(f"linear form needs {q.m} coefficients")
-    out: ClassDict = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = [0] * q.m
-            e[i] = 1
-            c = Fraction(c)
-            out[tuple(e)] = c.numerator if c.denominator == 1 else c
-    return _prune(q, out)
-
-
-def class_power(q: QuasitoricData, cls: ClassDict, k: int) -> ClassDict:
-    out = _unit_class(q.m)
-    for _ in range(k):
-        out = class_product(q, out, cls)
+def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> list:
+    """M_alpha(v) per facet: M_alpha of the facet's weights in vertex order,
+    the v_i off the facet restricting to 0. acc[j] is M of the first j parts
+    over the weights read so far."""
+    out = []
+    for ws in eval_context(q).weights:
+        acc = [1] + [0] * len(alpha)
+        for w in ws:
+            for j in range(len(alpha), 0, -1):
+                acc[j] += acc[j - 1] * w ** alpha[j - 1]
+        out.append(acc[-1])
     return out
 
 
-def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int | Fraction:
+def elementary_class(q: QuasitoricData, k: int) -> list:
+    """e_k(v_1..v_m) = M_(1^k), as per-facet restrictions."""
+    return _composition_class(q, (1,) * k)
+
+
+def complete_class(q: QuasitoricData, k: int) -> list:
+    """h_k(v_1..v_m), the sum of M_alpha over compositions alpha of k, as
+    per-facet restrictions."""
+    return [sum(vals) for vals in zip(*(_composition_class(q, a) for a in compositions(k)))]
+
+
+def linear_class(q: QuasitoricData, coeffs) -> list:
+    """sum coeffs[i] * v_{i+1}, as per-facet restrictions."""
+    if len(coeffs) != q.m:
+        raise InputError(f"linear form needs {q.m} coefficients")
+    ctx = eval_context(q)
+    return [sum(coeffs[v - 1] * w for v, w in zip(f, ws)) for f, ws in zip(ctx.basis, ctx.weights)]
+
+
+def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int:
     """c_I[M] for a partition I of n; bundle 'tangent' or 'normal'."""
     parts = [int(p) for p in partition]
     if sum(parts) != q.n:
         raise InputError(f"partition weight {sum(parts)} != n = {q.n}")
     if bundle not in ("tangent", "normal"):
         raise InputError(f"unknown bundle {bundle!r}")
-    cls = _unit_class(q.m)
+    cls = elementary_class(q, 0)
     for p in parts:
         if bundle == "tangent":
             factor = elementary_class(q, p)
         else:
-            factor = complete_class(q, p)
-            factor = {e: c * (-1) ** p for e, c in factor.items()}
+            factor = [(-1) ** p * x for x in complete_class(q, p)]
         cls = class_product(q, cls, factor)
     return eval_context(q).evaluate_class(cls)
 
@@ -121,26 +106,10 @@ class MxiClass:
         return NCF({comp: val for comp, val in self.table if val and len(comp) > 0})
 
 
-def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> ClassDict:
-    """sum over i_1 < ... < i_l of prod v_{i_j}^{alpha_j}."""
-    out: ClassDict = {}
-    l = len(alpha)
-    for chosen in combinations(range(q.m), l):
-        e = [0] * q.m
-        for i, a in zip(chosen, alpha):
-            e[i] = a
-        key = tuple(e)
-        out[key] = out[key] + 1 if key in out else 1
-    return _prune(q, out)
-
-
 def mxi_numbers(q: QuasitoricData) -> MxiClass:
     """The degree-n composition-indexed characteristic class."""
     ctx = eval_context(q)
-    rows = []
-    for alpha in compositions(q.n):
-        val = ctx.evaluate_class(_composition_class(q, alpha))
-        rows.append((alpha, val))
+    rows = [(alpha, ctx.evaluate_class(_composition_class(q, alpha))) for alpha in compositions(q.n)]
     return MxiClass(degree=q.n, table=tuple(rows))
 
 
@@ -152,22 +121,29 @@ def hamiltonian_numbers(q: QuasitoricData, u_coeffs, convention: str = "mxi") ->
     partitions I of i. The weight marker is sum(key) in both cases.
     """
     ctx = eval_context(q)
-    u = linear_class(q, u_coeffs)
-    rows = []
+    u = [Fraction(c) for c in u_coeffs]
+    # L * u is integral for L the lcm of the denominators, so every class
+    # evaluated is integral and the integrality check holds; the entries of
+    # weight i are divided by L^(n-i) afterwards
+    scale = lcm(*(c.denominator for c in u))
+    lu = linear_class(q, [int(c * scale) for c in u])
+
+    def entry(i, factors, sign=1):
+        cls = class_power(q, lu, q.n - i)
+        for factor in factors:
+            cls = class_product(q, cls, factor)
+        value = Fraction(sign * ctx.evaluate_class(cls), scale ** (q.n - i))
+        return value.numerator if value.denominator == 1 else value
+
+    weights = range(q.n + 1)
     if convention == "mxi":
-        for i in range(q.n + 1):
-            u_pow = class_power(q, u, q.n - i)
-            for alpha in compositions(i):
-                cls = class_product(q, _composition_class(q, alpha), u_pow)
-                rows.append((alpha, ctx.evaluate_class(cls)))
+        rows = [(a, entry(i, [_composition_class(q, a)])) for i in weights for a in compositions(i)]
     elif convention == "ginzburg":
-        for i in range(q.n + 1):
-            u_pow = class_power(q, u, q.n - i)
-            for lam in partitions(i):
-                cls = u_pow
-                for p in lam:
-                    cls = class_product(q, cls, complete_class(q, p))
-                rows.append((lam, (-1) ** i * ctx.evaluate_class(cls)))
+        rows = [
+            (lam, entry(i, [complete_class(q, p) for p in lam], (-1) ** i))
+            for i in weights
+            for lam in partitions(i)
+        ]
     else:
         raise InputError(f"unknown convention {convention!r}")
     return MxiClass(degree=q.n, table=tuple(rows))

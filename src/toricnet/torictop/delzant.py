@@ -62,8 +62,6 @@ def _is_unbounded(p: DelzantPolytope) -> bool:
     # a pointed cone != {0} has an extreme ray tight on n-1 independent rows
     for subset in combinations(range(p.m), n - 1):
         rows = [a[i] for i in subset]
-        if rows and rank(rows) != n - 1:
-            continue
         kernel = right_kernel_rational(rows) if rows else [[Fraction(1)]]
         if len(kernel) != 1:
             continue

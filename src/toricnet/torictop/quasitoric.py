@@ -1,32 +1,33 @@
 """Characteristic matrices and top-degree evaluation against [M].
 
-The degree-n part of Z[K]/(non-face monomials + the linear forms from the
-rows of Lambda) pairs with the fundamental class through a functional phi on
-face-supported degree-n monomials (Davis-Januszkiewicz; Buchstaber-Panov,
-*Toric Topology*, ch. 7 and 9).
+Classes of the face ring Z[K]/(non-face monomials + the linear forms from the
+rows of Lambda) are handled through their restrictions to the fixed points of
+the torus action (Davis-Januszkiewicz; Buchstaber-Panov, *Toric Topology*,
+ch. 7 and 9). Each facet sigma of K is a fixed point; its tangent weights
+w_{sigma,i}, i in sigma, are the rows of Lambda_sigma^{-1}, read as linear
+forms in t, and v_i restricts there to w_{sigma,i} for i in sigma and to 0
+otherwise. A class f is the list of its restrictions f(w_sigma), one per
+facet in the order of ``EvalContext.basis``, and the fixed-point
+(localization) formula pairs a top-degree class with [M]:
 
-phi comes from the fixed-point (localization) formula. Each facet sigma of K
-is a fixed point of the torus action; its tangent weights w_{sigma,i}, i in
-sigma, are the rows of Lambda_sigma^{-1}, read as linear forms in t, and
-v_i restricts there to w_{sigma,i} for i in sigma and to 0 otherwise. So
-
-    phi(v^e) = sum over facets sigma containing supp e of
-               eps(sigma) * prod_i w_{sigma,i}^{e_i} / prod_{j in sigma} w_{sigma,j},
+    <f, [M]> = sum over facets sigma of
+               eps(sigma) * f(w_sigma) / prod_{j in sigma} w_{sigma,j},
 
 with eps(sigma) = flip * o(sigma) * det Lambda_sigma: o the facet orientation
 (+1 on the lexicographically least facet), det = +-1, and flip = -1 for a
 reversed orientation. The sum is a rational function of degree 0 in t that
 is in fact a constant, so it is evaluated at one integer point t with no
 weight zero, as integers over one common denominator. Two checks guard it:
-the integral of 1, sum eps(sigma) / prod_j w_{sigma,j}, must be 0, and every
-phi must be an integer. Either failing raises InternalError with the residual.
+the integral of 1, sum eps(sigma) / prod_j w_{sigma,j}, must be 0 when the
+context is built, and every evaluated value must be an integer. Either
+failing raises InternalError with the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, count
+from itertools import count
 from math import lcm, prod
 from operator import mul
 
@@ -121,75 +122,55 @@ def _generic_point(rows: list[list[int]]) -> list[int]:
 
 
 class EvalContext:
-    """Cached evaluation functional for one QuasitoricData."""
+    """Fixed-point data of one QuasitoricData: the facets that index a
+    restriction list (``basis``), the tangent weights at the generic point
+    ``t``, and eps(sigma) / prod_j w_{sigma,j} as integers over ``den``."""
 
     def __init__(self, q: QuasitoricData):
         rep = q.validate()
         if not rep.valid:
             raise InputError("invalid quasitoric data: " + "; ".join(rep.issues))
         self.q = q
-        k, lam, n, m = q.complex, q.lam, q.n, q.m
-
-        # every face support (0-based) -> the indices of the facets containing it
-        containing: dict = {}
-        for fi, f in enumerate(k.facets):
-            for size in range(len(f) + 1):
-                for sub in combinations(f, size):
-                    containing.setdefault(tuple(v - 1 for v in sub), []).append(fi)
-        self.supports = frozenset(containing)
-
-        dets, inverses = zip(*(_inverse_rows(lam, f) for f in k.facets))
-        t = _generic_point([row for rows in inverses for row in rows])
-        # weights[fi][i]: the tangent weight w_{sigma,i}(t) at facet fi, vertex i
-        weights = [
-            {v - 1: sum(map(mul, row, t)) for v, row in zip(f, rows)}
-            for f, rows in zip(k.facets, inverses)
-        ]
-        euler = [prod(w.values()) for w in weights]
-        den = lcm(*euler)
+        k = q.complex
+        self.basis = k.facets
+        dets, inverses = zip(*(_inverse_rows(q.lam, f) for f in k.facets))
+        self.t = _generic_point([row for rows in inverses for row in rows])
+        # weights[fi][i]: the tangent weight w_{sigma,i}(t) at the i-th vertex of facet fi
+        self.weights = [[sum(map(mul, row, self.t)) for row in rows] for rows in inverses]
+        euler = [prod(w) for w in self.weights]
+        self.den = lcm(*euler)
         signs = orientation_signs(k)
         flip = -1 if q.orientation_flip else 1
-        # eps(sigma) / prod_j w_{sigma,j}, as an integer over den
-        scaled = [flip * signs[fi] * dets[fi] * (den // e) for fi, e in enumerate(euler)]
-        if sum(scaled):
+        self.scaled = [flip * signs[fi] * dets[fi] * (self.den // e) for fi, e in enumerate(euler)]
+        if sum(self.scaled):
             raise InternalError(
-                f"integral of 1 at t = {t} is {Fraction(sum(scaled), den)}, expected 0"
+                f"integral of 1 at t = {self.t} is {Fraction(sum(self.scaled), self.den)}, expected 0"
             )
 
-        # every degree-n monomial whose support is a face, sorted
-        self.basis = sorted(
-            tuple(map(chosen.count, range(m)))
-            for chosen in combinations_with_replacement(range(m), n)
-            if tuple(sorted(set(chosen))) in containing
-        )
-        self.index = {e: i for i, e in enumerate(self.basis)}
-        self.phi = []
-        for e in self.basis:
-            support = tuple(compress(range(m), e))
-            num = sum(
-                scaled[fi] * prod(weights[fi][i] ** e[i] for i in support)
-                for fi in containing[support]
+    def evaluate_class(self, values, what="class") -> int:
+        """<f, [M]> for a top-degree class f given by its restrictions, one per
+        facet of ``basis``; ``what`` names f in the integrality error."""
+        num = sum(map(mul, self.scaled, values))
+        if num % self.den:
+            raise InternalError(
+                f"evaluation of {what} at t = {self.t} is {Fraction(num, self.den)}, not an integer"
             )
-            if num % den:
-                raise InternalError(
-                    f"evaluation of {e} at t = {t} is {Fraction(num, den)}, not an integer"
-                )
-            self.phi.append(num // den)
+        return num // self.den
 
     def evaluate_monomial(self, e: Monomial) -> int:
+        if len(e) != self.q.m:
+            raise InputError(f"exponent tuple must have length {self.q.m}")
         if sum(e) != self.q.n:
             raise InputError(f"monomial degree {sum(e)} != {self.q.n}")
-        if e not in self.index:
-            return 0  # support is a non-face
-        return self.phi[self.index[e]]
-
-    def evaluate_class(self, cls: dict) -> int | Fraction:
-        """cls: exponent tuple -> coefficient, all of top degree."""
-        total = 0
-        for e, c in cls.items():
-            if c:
-                total += c * self.evaluate_monomial(e)
-        return total
+        if min(e) < 0:
+            return 0  # no monomial of the face ring
+        # v^e restricts to prod_i w_{sigma,i}^{e_i} where sigma contains supp e, else to 0
+        support = {i + 1 for i, x in enumerate(e) if x}
+        values = [
+            prod(w ** e[v - 1] for v, w in zip(f, ws)) if support.issubset(f) else 0
+            for f, ws in zip(self.basis, self.weights)
+        ]
+        return self.evaluate_class(values, e)
 
 
 # Contexts kept across calls, least recently used first. A bound keeps memory
@@ -224,8 +205,6 @@ def top_evaluate(q: QuasitoricData, monomial) -> int:
         monomial = tuple(e)
     else:
         monomial = tuple(int(x) for x in monomial)
-        if len(monomial) != q.m:
-            raise InputError(f"exponent tuple must have length {q.m}")
     return eval_context(q).evaluate_monomial(monomial)
 
 

@@ -100,6 +100,24 @@ class TestStructure:
         assert info.deficiency == 1
         assert info.cayley == ((2, 1, 0), (0, 1, 2), (1, 1, 1))
 
+    def test_analysis_computes_each_piece_once(self, monkeypatch):
+        from toricnet.crn import network
+
+        calls = []
+        for name in ("linkage_classes", "strong_components", "stoichiometric_rank", "rank"):
+            original = getattr(network, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(network, name, counted)
+        analyze(parse_network(BRIDGE))
+        # rank: once for s', once for rank(Cayley)
+        assert sorted(calls) == [
+            "linkage_classes", "rank", "rank", "stoichiometric_rank", "strong_components"
+        ]
+
     def test_not_weakly_reversible(self):
         net = parse_network("A -> B : 1")
         assert not is_weakly_reversible(net)

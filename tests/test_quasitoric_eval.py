@@ -1,24 +1,26 @@
 """Top-degree evaluation of quasitoric data against independent oracles.
 
-``EvalContext`` evaluates every face monomial by the fixed-point formula at
-one generic point t. The oracle here is a construction that formula does not
-use: the relation matrix over all degree-n face monomials, one row per
+``EvalContext`` evaluates a class from its restrictions to the fixed points
+by the fixed-point formula at one generic point t, and ``charnum`` builds the
+classes as such restrictions. The oracle here is a construction neither uses: the relation matrix over all degree-n face monomials, one row per
 (degree-(n-1) face monomial, row of Lambda), and its one-dimensional
 nullspace taken by sympy. The Bott-tower oracle reduces by the
 Stanley-Reisner relations instead. Neither shares code with
-``toricnet.torictop.quasitoric``. The formula's own checks (the integral of 1
+``toricnet.torictop.quasitoric``; the classes checked against them are
+expanded into monomials here. The formula's own checks (the integral of 1
 vanishes, every value is an integer) are reached by corrupting one input each.
 """
 
 from fractions import Fraction as F
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
 import sympy
 
 from toricnet.errors import InternalError
-from toricnet.ncsf import compositions
+from toricnet.ncsf import compositions, partitions
 from toricnet.torictop import (
     DelzantPolytope,
     QuasitoricData,
@@ -152,9 +154,54 @@ def test_phi_matches_dense_nullspace(name, variant):
     assert q.validate().valid
     ctx = eval_context(q)
     want = dense_phi(q)
-    assert ctx.basis == sorted(want)
-    got = {e: ctx.evaluate_monomial(e) for e in ctx.basis}
+    got = {e: ctx.evaluate_monomial(e) for e in want}
     assert got == want
+
+
+def _monomial(m, exponents):
+    """{index: exponent} as an exponent vector of length m."""
+    return tuple(exponents.get(i, 0) for i in range(m))
+
+
+def _elementary(m, k):
+    return {_monomial(m, dict.fromkeys(chosen, 1)): 1 for chosen in combinations(range(m), k)}
+
+
+def _complete(m, k):
+    return dict(
+        Counter(_monomial(m, Counter(chosen)) for chosen in combinations_with_replacement(range(m), k))
+    )
+
+
+def _composition(m, alpha):
+    """M_alpha(v_1..v_m): v_{i_1}^{a_1} ... v_{i_l}^{a_l} over i_1 < ... < i_l."""
+    return {
+        _monomial(m, dict(zip(chosen, alpha))): 1 for chosen in combinations(range(m), len(alpha))
+    }
+
+
+def _pair(phi, poly):
+    """A degree-n polynomial paired with [M]; non-face monomials pair to 0."""
+    return sum(c * phi.get(e, 0) for e, c in poly.items())
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_classes_match_their_monomial_expansion(name, variant):
+    q = VARIANTS[variant](BASES[name])
+    phi = dense_phi(q)
+    m, n = q.m, q.n
+    for lam in partitions(n):
+        tangent = normal = {(0,) * m: 1}
+        for p in lam:
+            tangent = _poly_mul(tangent, _elementary(m, p))
+            normal = _poly_mul(normal, {e: (-1) ** p * c for e, c in _complete(m, p).items()})
+        assert chern_numbers(q, lam) == _pair(phi, tangent), lam
+        assert chern_numbers(q, lam, bundle="normal") == _pair(phi, normal), lam
+    table = mxi_numbers(q).table
+    assert [alpha for alpha, _ in table] == list(compositions(n))
+    for alpha, value in table:
+        assert value == _pair(phi, _composition(m, alpha)), alpha
 
 
 # ---------------------------------------------------------------- cases now in reach
@@ -305,8 +352,10 @@ def test_evicted_context_rebuilds_identically(counted):
     assert (q.complex, q.lam, q.orientation_flip) not in quasitoric._CONTEXTS
     new = eval_context(q)
     assert new is not old
-    assert new.basis == old.basis
-    assert new.phi == old.phi
+    monomials = face_monomials(q, q.n)
+    assert [new.evaluate_monomial(e) for e in monomials] == [
+        old.evaluate_monomial(e) for e in monomials
+    ]
     assert len(counted) == limit + 2
 
 
@@ -337,8 +386,9 @@ def test_integrality_check_fires_on_a_negated_facet_inverse(monkeypatch):
         return -det, [[-x for x in row] for row in rows]
 
     monkeypatch.setattr(quasitoric, "_inverse_rows", negated)
+    ctx = quasitoric.EvalContext(q)
     with pytest.raises(InternalError, match=r"\(0, 0, 3, 0\) at t = .* is -112/9, not an integer"):
-        quasitoric.EvalContext(q)
+        ctx.evaluate_monomial((0, 0, 3, 0))
 
 
 def _other_point(rows):
@@ -366,5 +416,7 @@ def test_phi_does_not_depend_on_the_generic_point(name, variant, monkeypatch):
     second = quasitoric.EvalContext(q)
     [(default, other)] = points
     assert default != other
-    assert second.basis == first.basis
-    assert second.phi == first.phi
+    monomials = face_monomials(q, q.n)
+    assert [second.evaluate_monomial(e) for e in monomials] == [
+        first.evaluate_monomial(e) for e in monomials
+    ]

@@ -337,3 +337,23 @@ def test_coefficients_are_canonical(name, data):
 def test_mixed_class_sum_is_refused(cls, items):
     with pytest.raises(TypeError):
         cls.sum(items)
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [
+        partial(NCF.word, (1,)),
+        partial(QSF.monomial, (1,)),
+        partial(SymF.gen, "e", 1),
+        partial(SymF.gen, "h", 0),
+        partial(SymF.element, "p", (2, 1)),
+    ],
+    ids=["NCF.word", "QSF.monomial", "SymF.gen", "SymF.gen-0", "SymF.element"],
+)
+def test_single_term_helpers_validate_the_coefficient(helper):
+    # a float is refused as the validating constructor refuses it, not taken
+    # at its binary value
+    with pytest.raises(TypeError):
+        helper(0.1)
+    assert list(helper(3).terms.values()) == [3]
+    assert list(helper(Fraction(1, 3)).terms.values()) == [Fraction(1, 3)]

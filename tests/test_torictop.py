@@ -21,6 +21,7 @@ from toricnet.torictop import (
     cpn_data,
     crn_to_toric,
     delzant_to_quasitoric,
+    eval_context,
     facet_determinant,
     hamiltonian_numbers,
     join_complexes,
@@ -123,6 +124,9 @@ class TestEvaluation:
             top_evaluate(cp2, (1, 1))  # wrong length
         with pytest.raises(InputError):
             top_evaluate(cp2, {5: 2})  # vertex out of range
+        for e in [(2,), (1, 1), (2, 0, 0, 0)]:
+            with pytest.raises(InputError, match="length 3"):
+                eval_context(cp2).evaluate_monomial(e)
 
     def test_nonface_vanishes(self):
         p = product_data(cpn_data(1), cpn_data(1))
@@ -230,6 +234,25 @@ class TestHamiltonian:
         q, u = delzant_to_quasitoric(sq)
         g = hamiltonian_numbers(q, u, convention="ginzburg")
         assert dict(g.table) == {(): F(12), (1,): F(-10), (2,): F(4), (1, 1): F(8)}
+
+    def test_rational_class_on_the_simplex(self):
+        tri = DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-9, 2)))
+        q, u = delzant_to_quasitoric(tri)
+        # 2! * area of the right triangle with leg 9/2
+        assert hamiltonian_numbers(q, u).table[0] == ((), F(81, 4))
+
+    @pytest.mark.parametrize("convention", ["mxi", "ginzburg"])
+    def test_halved_offsets_scale_each_weight(self, convention):
+        normals = ((1, 0), (0, 1), (-1, 0), (-1, -1))
+        offsets = (F(0), F(0), F(-3), F(-5))
+        whole = delzant_to_quasitoric(DelzantPolytope(normals, offsets))
+        half = delzant_to_quasitoric(DelzantPolytope(normals, [x / 2 for x in offsets]))
+        assert half[0] == whole[0]
+        want = hamiltonian_numbers(*whole, convention=convention).table
+        got = hamiltonian_numbers(*half, convention=convention).table
+        # the entries of weight i carry u^(n-i)
+        assert got == tuple((key, F(value, 2 ** (2 - sum(key)))) for key, value in want)
+        assert any(value.denominator != 1 for _, value in got)
 
     def test_unknown_convention(self):
         q, u = delzant_to_quasitoric(
