@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from ..errors import InputError
@@ -52,15 +52,31 @@ def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> list:
     return out
 
 
+def _symmetric_classes(q: QuasitoricData, k: int, complete: bool) -> list:
+    """[e_0, ..., e_k](v_1..v_m), or [h_0, ..., h_k] with ``complete``, as
+    per-facet restrictions. Each weight w of a facet adds w * x_{j-1} to x_j:
+    from the top degree down for e (e_{j-1} without w), from 1 up for h."""
+    if k < 0:
+        raise InputError(f"degree {k} < 0")
+    steps = range(1, k + 1) if complete else range(k, 0, -1)
+    per_facet = []
+    for ws in eval_context(q).weights:
+        acc = [1] + [0] * k
+        for w in ws:
+            for j in steps:
+                acc[j] += w * acc[j - 1]
+        per_facet.append(acc)
+    return [list(cls) for cls in zip(*per_facet)]
+
+
 def elementary_class(q: QuasitoricData, k: int) -> list:
-    """e_k(v_1..v_m) = M_(1^k), as per-facet restrictions."""
-    return _composition_class(q, (1,) * k)
+    """e_k(v_1..v_m), as per-facet restrictions."""
+    return _symmetric_classes(q, k, complete=False)[k]
 
 
 def complete_class(q: QuasitoricData, k: int) -> list:
-    """h_k(v_1..v_m), the sum of M_alpha over compositions alpha of k, as
-    per-facet restrictions."""
-    return [sum(vals) for vals in zip(*(_composition_class(q, a) for a in compositions(k)))]
+    """h_k(v_1..v_m), the sum of all degree-k monomials, as per-facet restrictions."""
+    return _symmetric_classes(q, k, complete=True)[k]
 
 
 def linear_class(q: QuasitoricData, coeffs) -> list:
@@ -78,14 +94,12 @@ def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int:
         raise InputError(f"partition weight {sum(parts)} != n = {q.n}")
     if bundle not in ("tangent", "normal"):
         raise InputError(f"unknown bundle {bundle!r}")
-    cls = elementary_class(q, 0)
-    for p in parts:
-        if bundle == "tangent":
-            factor = elementary_class(q, p)
-        else:
-            factor = [(-1) ** p * x for x in complete_class(q, p)]
-        cls = class_product(q, cls, factor)
-    return eval_context(q).evaluate_class(cls)
+    if any(p < 0 for p in parts):
+        raise InputError(f"partition {tuple(parts)} has a negative part")
+    classes = _symmetric_classes(q, max(parts, default=0), complete=bundle == "normal")
+    sign = (-1) ** q.n if bundle == "normal" else 1  # prod of (-1)^p over a partition of n
+    values = [sign * prod(vals) for vals in zip(*(classes[p] for p in parts))]
+    return eval_context(q).evaluate_class(values)
 
 
 @dataclass(frozen=True)
@@ -139,8 +153,9 @@ def hamiltonian_numbers(q: QuasitoricData, u_coeffs, convention: str = "mxi") ->
     if convention == "mxi":
         rows = [(a, entry(i, [_composition_class(q, a)])) for i in weights for a in compositions(i)]
     elif convention == "ginzburg":
+        h = _symmetric_classes(q, q.n, complete=True)
         rows = [
-            (lam, entry(i, [complete_class(q, p) for p in lam], (-1) ** i))
+            (lam, entry(i, [h[p] for p in lam], (-1) ** i))
             for i in weights
             for lam in partitions(i)
         ]

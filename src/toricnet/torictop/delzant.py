@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd
 
 from ..errors import InputError, NonSmooth
-from ..exactcore import rank, right_kernel_rational, smith_normal_form, solve_rational
+from ..exactcore import rank, rational_rref, right_kernel_rational, smith_normal_form
 from .complexes import SimplicialComplex
 from .quasitoric import QuasitoricData
 
@@ -77,20 +77,17 @@ def polytope_vertices(p: DelzantPolytope) -> list[tuple]:
     if p.m > MAX_FACETS:
         raise InputError(f"facet count {p.m} exceeds the enumeration cap {MAX_FACETS}")
     n = p.dim
-    a = [[Fraction(x) for x in row] for row in p.normals]
     found: dict = {}
     for subset in combinations(range(p.m), n):
-        rows = [a[i] for i in subset]
-        if rank(rows) != n:  # solve_rational would hand back a non-vertex point
+        # independent normals meet in one point, read off the last column
+        R, pivots = rational_rref([[*p.normals[i], p.offsets[i]] for i in subset])
+        if pivots != list(range(n)):
             continue
-        x = solve_rational(rows, [p.offsets[i] for i in subset])
-        values = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
+        x = [row[n] for row in R]
+        values = [sum(ai * xi for ai, xi in zip(row, x)) for row in p.normals]
         if any(v < lam for v, lam in zip(values, p.offsets)):
             continue
-        key = tuple(x)
-        if key not in found:
-            active = tuple(i for i, (v, lam) in enumerate(zip(values, p.offsets)) if v == lam)
-            found[key] = active
+        found[tuple(x)] = tuple(i for i, (v, lam) in enumerate(zip(values, p.offsets)) if v == lam)
     return sorted(found.items())
 
 

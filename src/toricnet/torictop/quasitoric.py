@@ -4,11 +4,12 @@ Classes of the face ring Z[K]/(non-face monomials + the linear forms from the
 rows of Lambda) are handled through their restrictions to the fixed points of
 the torus action (Davis-Januszkiewicz; Buchstaber-Panov, *Toric Topology*,
 ch. 7 and 9). Each facet sigma of K is a fixed point; its tangent weights
-w_{sigma,i}, i in sigma, are the rows of Lambda_sigma^{-1}, read as linear
-forms in t, and v_i restricts there to w_{sigma,i} for i in sigma and to 0
-otherwise. A class f is the list of its restrictions f(w_sigma), one per
-facet in the order of ``EvalContext.basis``, and the fixed-point
-(localization) formula pairs a top-degree class with [M]:
+w_{sigma,i}, i in sigma, are the rows of Lambda_sigma^{-1} (the transform of
+the Hermite normal form, which is I), read as linear forms in t, and v_i
+restricts there to w_{sigma,i} for i in sigma and to 0 otherwise. A class f
+is the list of its restrictions f(w_sigma), one per facet in the order of
+``EvalContext.basis``, and the fixed-point (localization) formula pairs a
+top-degree class with [M]:
 
     <f, [M]> = sum over facets sigma of
                eps(sigma) * f(w_sigma) / prod_{j in sigma} w_{sigma,j},
@@ -32,7 +33,7 @@ from math import lcm, prod
 from operator import mul
 
 from ..errors import InputError, InternalError
-from ..exactcore import ff_determinant
+from ..exactcore import ff_determinant, hermite_normal_form
 from .complexes import SimplicialComplex, ValidityReport, orientation_signs, sphere_battery
 
 Monomial = tuple[int, ...]  # exponents, length m
@@ -88,24 +89,11 @@ class QuasitoricData:
 
 
 def _inverse_rows(lam, facet: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-    """det Lambda_F and the rows of Lambda_F^{-1}, one per vertex of F in order.
-
-    det = +-1 on a validated facet, so Lambda_F^{-1} = det * adj(Lambda_F) and
-    everything stays in Z.
-    """
-    n = len(lam)
-    square = [[lam[r][v - 1] for v in facet] for r in range(n)]
-    cof = [
-        [
-            (-1) ** (r + c) * ff_determinant(
-                [row[:c] + row[c + 1:] for ri, row in enumerate(square) if ri != r]
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    det = sum(square[0][c] * cof[0][c] for c in range(n))
-    return det, [[det * cof[r][i] for r in range(n)] for i in range(n)]
+    """det Lambda_F and the rows of Lambda_F^{-1}, one per vertex of F in order:
+    det = +-1 on a validated facet, so the Hermite normal form of Lambda_F is I
+    and its transform U, with U * Lambda_F = I, is Lambda_F^{-1}."""
+    _, inverse = hermite_normal_form([[lam[r][v - 1] for v in facet] for r in range(len(lam))])
+    return facet_determinant(lam, facet), inverse
 
 
 def _generic_point(rows: list[list[int]]) -> list[int]:

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from toricnet.exactcore import (
     QRing,
@@ -471,3 +475,69 @@ def test_float_coefficients_raise(build):
     )
     with pytest.raises(TypeError):
         build(0.1)
+
+
+# ---------------------------------------------------------------- lattice algebra against sympy
+
+
+def _lattice_cases(count=300):
+    """Seeded integer matrices of 1..5 x 1..5 with entries in [-6, 6]. Every
+    third one is rank-deficient: its last row (its last column, when it has
+    more rows than columns) is the negative of another, or it is zero when it
+    has one row or one column."""
+    rng = random.Random(0)
+    cases = []
+    for i in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if i % 3 == 0:
+            if min(m, n) == 1:
+                a = [[0] * n for _ in range(m)]
+            elif m <= n:
+                a[-1] = [-x for x in a[rng.randrange(m - 1)]]
+            else:
+                c = rng.randrange(n - 1)
+                for row in a:
+                    row[-1] = -row[c]
+        cases.append(a)
+    return cases
+
+
+LATTICE_CASES = _lattice_cases()
+
+
+def test_lattice_cases_include_rank_deficient_matrices():
+    deficient = [a for a in LATTICE_CASES if sympy.Matrix(a).rank() < min(len(a), len(a[0]))]
+    assert len(deficient) >= len(LATTICE_CASES) // 3
+
+
+def test_hermite_matches_sympy():
+    for a in LATTICE_CASES:
+        h, u = hermite_normal_form(a)
+        assert mat_mul(u, a) == h
+        assert abs(sympy.Matrix(u).det()) == 1
+        want = []
+        if sympy.Matrix(a).rank():
+            # sympy's form is column-style; transposed, with rows and columns
+            # reversed on both sides, it is the row-style form computed here
+            s = sympy_hnf(sympy.Matrix([row[::-1] for row in a]).T).T
+            want = [[int(x) for x in s.row(r)][::-1] for r in reversed(range(s.rows))]
+        assert [row for row in h if any(row)] == want, a
+
+
+def test_smith_matches_sympy():
+    for a in LATTICE_CASES:
+        d = sympy_snf(sympy.Matrix(a), domain=ZZ)
+        assert smith_normal_form(a) == [abs(int(x)) for x in d.diagonal() if x], a
+
+
+def test_lattice_kernel_is_the_saturated_integer_kernel():
+    for a in LATTICE_CASES:
+        basis = lattice_kernel(a)
+        matrix = sympy.Matrix(a)
+        assert len(basis) == matrix.cols - matrix.rank(), a
+        assert all(not any(matrix * sympy.Matrix(u)) for u in basis), a
+        if basis:
+            # Z^n / span(basis) is torsion-free iff every elementary divisor is 1
+            d = sympy_snf(sympy.Matrix(basis), domain=ZZ)
+            assert [abs(x) for x in d.diagonal()] == [1] * len(basis), a

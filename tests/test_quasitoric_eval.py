@@ -9,12 +9,14 @@ Stanley-Reisner relations instead. Neither shares code with
 ``toricnet.torictop.quasitoric``; the classes checked against them are
 expanded into monomials here. The formula's own checks (the integral of 1
 vanishes, every value is an integer) are reached by corrupting one input each.
+Each facet inverse is checked against sympy's product and determinant.
 """
 
+import random
 from fractions import Fraction as F
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
 import pytest
 import sympy
@@ -26,9 +28,12 @@ from toricnet.torictop import (
     QuasitoricData,
     SimplicialComplex,
     chern_numbers,
+    complete_class,
     cpn_data,
     delzant_to_quasitoric,
+    elementary_class,
     eval_context,
+    hamiltonian_numbers,
     mxi_numbers,
 )
 from toricnet.torictop import quasitoric
@@ -202,6 +207,32 @@ def test_classes_match_their_monomial_expansion(name, variant):
     assert [alpha for alpha, _ in table] == list(compositions(n))
     for alpha, value in table:
         assert value == _pair(phi, _composition(m, alpha)), alpha
+    # e_k and h_k restrict at each fixed point to e_k and h_k of its weights,
+    # also above the dimension, where e_k vanishes and h_k does not
+    weights = eval_context(q).weights
+    for k in range(n + 3):
+        assert elementary_class(q, k) == [sum(map(prod, combinations(ws, k))) for ws in weights], k
+        assert complete_class(q, k) == [
+            sum(map(prod, combinations_with_replacement(ws, k))) for ws in weights
+        ], k
+    # u = sum_i i * v_i
+    u = {_monomial(m, {i: 1}): i + 1 for i in range(m)}
+    u_powers = [{(0,) * m: 1}]
+    for _ in range(n):
+        u_powers.append(_poly_mul(u_powers[-1], u))
+    want = []
+    for i in range(n + 1):
+        for alpha in compositions(i):
+            want.append((alpha, _pair(phi, _poly_mul(_composition(m, alpha), u_powers[n - i]))))
+    assert hamiltonian_numbers(q, range(1, m + 1)).table == tuple(want)
+    want = []
+    for i in range(n + 1):
+        for lam in partitions(i):
+            h = u_powers[n - i]
+            for p in lam:
+                h = _poly_mul(h, _complete(m, p))
+            want.append((lam, (-1) ** i * _pair(phi, h)))
+    assert hamiltonian_numbers(q, range(1, m + 1), convention="ginzburg").table == tuple(want)
 
 
 # ---------------------------------------------------------------- cases now in reach
@@ -357,6 +388,44 @@ def test_evicted_context_rebuilds_identically(counted):
         old.evaluate_monomial(e) for e in monomials
     ]
     assert len(counted) == limit + 2
+
+
+# ---------------------------------------------------------------- facet inverses
+
+
+def _random_unimodular(rng, n):
+    """A product of random row additions and row negations: det +-1."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j or rng.random() < 0.2:
+            a[i] = [-x for x in a[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def _check_inverse_rows(lam, facet):
+    square = sympy.Matrix([[row[v - 1] for v in facet] for row in lam])
+    det, rows = quasitoric._inverse_rows(lam, facet)
+    assert sympy.Matrix(rows) * square == sympy.eye(len(lam)), (lam, facet)
+    assert det == square.det(), (lam, facet)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_facet_inverses_match_sympy(name, variant):
+    q = VARIANTS[variant](BASES[name])
+    for facet in q.complex.facets:
+        _check_inverse_rows(q.lam, facet)
+
+
+def test_inverse_rows_of_random_unimodular_matrices():
+    rng = random.Random(0)
+    for n in range(1, 7):
+        for _ in range(25):
+            _check_inverse_rows(_random_unimodular(rng, n), tuple(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------- cross-checks

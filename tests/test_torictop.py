@@ -18,9 +18,11 @@ from toricnet.torictop import (
     SimplicialComplex,
     boundary_simplex,
     chern_numbers,
+    complete_class,
     cpn_data,
     crn_to_toric,
     delzant_to_quasitoric,
+    elementary_class,
     eval_context,
     facet_determinant,
     hamiltonian_numbers,
@@ -178,6 +180,15 @@ class TestChernNumbers:
             h = hirzebruch(k)
             assert chern_numbers(h, (1, 1)) == 8
             assert chern_numbers(h, (2,)) == 4
+
+    def test_negative_degrees_refused(self):
+        cp2 = cpn_data(2)
+        for bundle in ("tangent", "normal"):
+            with pytest.raises(InputError, match="negative part"):
+                chern_numbers(cp2, (3, -1), bundle=bundle)
+        for build in (elementary_class, complete_class):
+            with pytest.raises(InputError, match="degree -1 < 0"):
+                build(cp2, -1)
 
 
 class TestMxi:
