@@ -104,6 +104,21 @@ def _parse_fracs(text: str) -> list:
         raise InputError(f"expected comma-separated rationals, got {text!r}") from exc
 
 
+def _build(make, *args):
+    """``make(*args)`` on values parsed from the command line: the library's
+    ValueError on a bad key or count is bad input here."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _generator_degree(args) -> int:
+    if args.degree < 1:
+        raise InputError(f"generator degree must be >= 1, got {args.degree}")
+    return args.degree
+
+
 def _parse_floats(text: str) -> list:
     try:
         return [float(p) for p in text.split(",") if p.strip()]
@@ -235,18 +250,9 @@ def _cmd_crn_toric(args) -> int:
 
     net = _load_network(args.input)
     q, cls = crn_to_toric(net)
-    payload = {
-        "facets": [list(f) for f in q.complex.facets],
-        "lambda": [list(r) for r in q.lam],
-        "base_facet": list(q.base_facet),
-        "mxi": _mxi_json(cls),
-    }
-    lines = [
-        "facets: " + ", ".join("{" + ",".join(str(v) for v in f) + "}" for f in q.complex.facets),
-        "lambda:",
-    ] + ["  " + " ".join(str(x) for x in row) for row in q.lam] + [
-        "mxi: " + render_ncf(cls.to_ncf())
-    ]
+    payload, lines = _quasitoric_output(q)
+    payload["mxi"] = _mxi_json(cls)
+    lines.append("mxi: " + render_ncf(cls.to_ncf()))
     _emit(payload, lines, args.format)
     return 0
 
@@ -257,7 +263,10 @@ def _cmd_crn_toric(args) -> int:
 def _cmd_qsym_product(args) -> int:
     from .ncsf import QSF, qsym_product
 
-    out = qsym_product(QSF.monomial(_parse_ints(args.left)), QSF.monomial(_parse_ints(args.right)))
+    out = qsym_product(
+        _build(QSF.monomial, _parse_ints(args.left)),
+        _build(QSF.monomial, _parse_ints(args.right)),
+    )
     _emit(qsf_json(out), [render_qsf(out)], args.format)
     return 0
 
@@ -265,7 +274,9 @@ def _cmd_qsym_product(args) -> int:
 def _cmd_qsym_pair(args) -> int:
     from .ncsf import NCF, QSF, pairing
 
-    value = pairing(NCF.word(_parse_ints(args.word)), QSF.monomial(_parse_ints(args.comp)))
+    value = pairing(
+        _build(NCF.word, _parse_ints(args.word)), _build(QSF.monomial, _parse_ints(args.comp))
+    )
     payload = {"value": frac_str(value)}
     _emit(payload, [frac_str(value)], args.format)
     return 0
@@ -274,7 +285,7 @@ def _cmd_qsym_pair(args) -> int:
 def _cmd_qsym_realize(args) -> int:
     from .ncsf import qsym_realize
 
-    poly = qsym_realize(_parse_ints(args.comp), args.nvars)
+    poly = _build(qsym_realize, _parse_ints(args.comp), args.nvars)
     payload = {"polynomial": poly.render(), "nvars": args.nvars}
     _emit(payload, [poly.render()], args.format)
     return 0
@@ -287,7 +298,7 @@ def _parse_sym_element(text: str):
     basis = basis.strip()
     if not parts:
         raise InputError(f"expected basis:parts like e:2,1, got {text!r}")
-    return SymF.element(basis, _parse_ints(parts))
+    return _build(SymF.element, basis, _parse_ints(parts))
 
 
 def _cmd_sym_convert(args) -> int:
@@ -313,13 +324,13 @@ def _cmd_hopf_coproduct(args) -> int:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_coproduct_gen
 
-        t = bfk_coproduct_gen(args.degree)
+        t = bfk_coproduct_gen(_generator_degree(args))
         text = f"Δ(Z[{args.degree}]) = {render_tensor(t)}"
         _emit({"coproduct": tensor_json(t)}, [text], args.format)
     else:
         from .hopfdiff import ln_coproduct_gen
 
-        p = ln_coproduct_gen(args.degree)
+        p = ln_coproduct_gen(_generator_degree(args))
         text = f"Δ(t{args.degree}) = {p.render()}"
         _emit({"coproduct": p.render()}, [text], args.format)
     return 0
@@ -329,13 +340,13 @@ def _cmd_hopf_antipode(args) -> int:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_antipode_gen
 
-        x = bfk_antipode_gen(args.degree)
+        x = bfk_antipode_gen(_generator_degree(args))
         text = f"χ(Z[{args.degree}]) = {render_ncf(x)}"
         _emit({"antipode": ncf_json(x)}, [text], args.format)
     else:
         from .hopfdiff import ln_antipode_gen
 
-        p = ln_antipode_gen(args.degree)
+        p = ln_antipode_gen(_generator_degree(args))
         text = f"χ(t{args.degree}) = {p.render()}"
         _emit({"antipode": p.render()}, [text], args.format)
     return 0
@@ -514,13 +525,38 @@ def _mxi_json(cls) -> dict:
     }
 
 
+def _int_rows(data: dict, field: str) -> tuple:
+    """``data[field]`` as rows of ints; a bool or a number with a fractional
+    part is refused, not truncated."""
+    rows = data[field]
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+                raise InputError(f"{field} entries must be integers, got {json.dumps(v)}")
+    return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def _quasitoric_output(q) -> tuple[dict, list]:
+    """The facets, lambda and base facet of quasitoric data: payload and text."""
+    payload = {
+        "facets": [list(f) for f in q.complex.facets],
+        "lambda": [list(r) for r in q.lam],
+        "base_facet": list(q.base_facet),
+    }
+    lines = [
+        "facets: " + ", ".join("{" + ",".join(str(v) for v in f) + "}" for f in q.complex.facets),
+        "lambda:",
+    ] + ["  " + " ".join(str(x) for x in row) for row in q.lam]
+    return payload, lines
+
+
 def _load_quasitoric(path: str, flip: bool):
     from .torictop import QuasitoricData, SimplicialComplex
 
     data = _read_json(path)
     try:
-        facets = tuple(tuple(int(v) for v in f) for f in data["facets"])
-        lam = tuple(tuple(int(v) for v in row) for row in data["lambda"])
+        facets = _int_rows(data, "facets")
+        lam = _int_rows(data, "lambda")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"quasitoric JSON needs facets and lambda: {exc}") from exc
     m = len(lam[0]) if lam else 0
@@ -532,7 +568,7 @@ def _load_polytope(path: str):
 
     data = _read_json(path)
     try:
-        normals = tuple(tuple(int(v) for v in row) for row in data["normals"])
+        normals = _int_rows(data, "normals")
         offsets = tuple(Fraction(v) for v in data["offsets"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"polytope JSON needs normals and offsets: {exc}") from exc
@@ -604,18 +640,9 @@ def _cmd_toric_delzant(args) -> int:
     from .torictop import delzant_to_quasitoric
 
     q, u = delzant_to_quasitoric(_load_polytope(args.polytope))
-    payload = {
-        "facets": [list(f) for f in q.complex.facets],
-        "lambda": [list(r) for r in q.lam],
-        "base_facet": list(q.base_facet),
-        "u": [frac_str(x) for x in u],
-    }
-    lines = [
-        "facets: " + ", ".join("{" + ",".join(str(v) for v in f) + "}" for f in q.complex.facets),
-        "lambda:",
-    ] + ["  " + " ".join(str(x) for x in row) for row in q.lam] + [
-        "u: " + ", ".join(frac_str(x) for x in u)
-    ]
+    payload, lines = _quasitoric_output(q)
+    payload["u"] = [frac_str(x) for x in u]
+    lines.append("u: " + ", ".join(frac_str(x) for x in u))
     _emit(payload, lines, args.format)
     return 0
 

@@ -48,6 +48,8 @@ def simulate(
         raise InputError("initial concentrations must be non-negative")
     if dt <= 0 or t_end <= 0:
         raise InputError("t_end and dt must be positive")
+    if record_every < 1:
+        raise InputError("record_every must be >= 1")
 
     a = [[float(e) for e in row] for row in build_rate_matrix(net, bindings or {})]
     y = [[float(net.complexes[col][row]) for col in range(net.n_complexes)]

@@ -10,7 +10,7 @@ Matrices are plain lists of row lists; functions never mutate their inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .polynomials import SparsePoly
 
@@ -190,9 +190,8 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
     m, n = dims(a)
     cleared = []
     for row in a:
-        fr = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in fr))
-        cleared.append([int(x * scale) for x in fr])
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append([int(x * scale) for x in row])
     B = transpose(cleared)  # n x m; rows indexed by kernel coordinates
     H, U = hermite_normal_form(B)
     kernel_rows = [U[i] for i in range(n) if all(x == 0 for x in H[i])]
@@ -203,54 +202,24 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
 
 
 def smith_normal_form(a: Matrix) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix."""
-    M = _check_int_matrix(a)
-    m, n = dims(M)
-    divisors = []
-    for t in range(min(m, n)):
-        while True:
-            entries = [
-                (abs(M[i][j]), i, j)
-                for i in range(t, m)
-                for j in range(t, n)
-                if M[i][j] != 0
-            ]
-            if not entries:
-                return divisors
-            _, i0, j0 = min(entries)
-            M[t], M[i0] = M[i0], M[t]
-            for row in M:
-                row[t], row[j0] = row[j0], row[t]
-            p = M[t][t]
-            for i in range(t + 1, m):
-                q = M[i][t] // p
-                if q:
-                    M[i] = [x - q * y for x, y in zip(M[i], M[t])]
-            for j in range(t + 1, n):
-                q = M[t][j] // p
-                if q:
-                    for row in M:
-                        row[j] -= q * row[t]
-            if any(M[i][t] for i in range(t + 1, m)) or any(
-                M[t][j] for j in range(t + 1, n)
-            ):
-                continue  # remainders appeared; the minimum strictly shrank
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if M[i][j] % p != 0
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            # fold a non-divisible row into row t so the next pass shrinks p
-            M[t] = [x + y for x, y in zip(M[t], M[bad])]
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-        divisors.append(M[t][t])
+    """Elementary divisors d_1 | d_2 | ... of an integer matrix.
+
+    Row-style Hermite forms of the matrix and of its transpose alternate
+    until it is diagonal (Kannan-Bachem): each round can only shrink the
+    leading pivot, and a pivot that divides its row and column clears both.
+    Gcd/lcm exchanges then put the nonzero diagonal into divisibility order.
+    """
+    M = a
+    while True:
+        M = [row for row in hermite_normal_form(M)[0] if any(row)]
+        if all(x == 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j):
+            break
+        M = transpose(M)
+    divisors = [M[i][i] for i in range(len(M))]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return divisors
 
 

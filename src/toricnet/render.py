@@ -9,18 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactcore.terms import key_str
+
 
 def frac_str(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def render_word(word: tuple, letter: str = "Z") -> str:
-    if not word:
-        return "1"
-    return f"{letter}[{','.join(str(i) for i in word)}]"
 
 
 def _join_terms(parts: list) -> str:
@@ -41,7 +37,7 @@ def _join_terms(parts: list) -> str:
 
 
 def render_terms(sorted_terms, letter: str = "Z") -> str:
-    return _join_terms([(c, render_word(w, letter)) for w, c in sorted_terms])
+    return _join_terms([(c, key_str(letter, w)) for w, c in sorted_terms])
 
 
 def render_ncf(x) -> str:
@@ -56,15 +52,15 @@ def render_sym(s) -> str:
     return render_terms(s.sorted_terms(), s.basis)
 
 
-def render_tensor(t) -> str:
-    def weight(w):
-        return sum(w)
+def _tensor_terms(t) -> list:
+    """Terms of a tensor, heaviest left factor first, then by the two words."""
+    return sorted(t.terms.items(), key=lambda kv: (-sum(kv[0][0]), kv[0][0], kv[0][1]))
 
-    terms = sorted(t.terms.items(), key=lambda kv: (-weight(kv[0][0]), kv[0][0], kv[0][1]))
-    parts = []
-    for (lw, rw), c in terms:
-        parts.append((c, f"{render_word(lw)}⊗{render_word(rw)}"))
-    return _join_terms(parts)
+
+def render_tensor(t) -> str:
+    return _join_terms(
+        [(c, f"{key_str('Z', lw)}⊗{key_str('Z', rw)}") for (lw, rw), c in _tensor_terms(t)]
+    )
 
 
 def terms_json(sorted_terms, basis: str) -> dict:
@@ -89,14 +85,10 @@ def sym_json(s) -> dict:
 
 
 def tensor_json(t) -> dict:
-    def weight(w):
-        return sum(w)
-
-    terms = sorted(t.terms.items(), key=lambda kv: (-weight(kv[0][0]), kv[0][0], kv[0][1]))
     return {
         "terms": [
             {"left": list(lw), "right": list(rw), "coeff": frac_str(c)}
-            for (lw, rw), c in terms
+            for (lw, rw), c in _tensor_terms(t)
         ]
     }
 

@@ -1,9 +1,13 @@
 """Delzant polytopes {x : <a_i, x> >= lambda_i} and their quasitoric data.
 
-Vertices come from exact linear solves over all n-subsets of facets; the
-polytope must be bounded and simple, and each vertex's normal set must be
-unimodular. The dual boundary complex plus the normals-as-columns matrix is
-the quasitoric data; the normalized symplectic class is sum(-lambda_i) v_i.
+Boundedness and vertices are lattice questions, answered by integer
+kernels of row subsets: a recession ray is the one-line kernel of n-1
+normals with every normal on one side of it, and a vertex is the one-line
+kernel (X, w), w != 0, of n rows (a_i, -L*lambda_i), L the lcm of the offset
+denominators, with every row on its inner side. The polytope must be
+bounded and simple, and each vertex's normal set must be unimodular. The
+dual boundary complex plus the normals-as-columns matrix is the quasitoric
+data; the normalized symplectic class is sum(-lambda_i) v_i.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import InputError, NonSmooth
-from ..exactcore import rank, rational_rref, right_kernel_rational, smith_normal_form
+from ..exactcore import lattice_kernel, smith_normal_form
 from .complexes import SimplicialComplex
 from .quasitoric import QuasitoricData
 
@@ -55,20 +59,16 @@ class DelzantPolytope:
 
 def _is_unbounded(p: DelzantPolytope) -> bool:
     """True when the recession cone {y : <a_i, y> >= 0} is nontrivial."""
-    a = [[Fraction(x) for x in row] for row in p.normals]
-    n = p.dim
-    if rank(a) < n:
+    if lattice_kernel(p.normals):
         return True  # lineality space
     # a pointed cone != {0} has an extreme ray tight on n-1 independent rows
-    for subset in combinations(range(p.m), n - 1):
-        rows = [a[i] for i in subset]
-        kernel = right_kernel_rational(rows) if rows else [[Fraction(1)]]
+    for subset in combinations(p.normals, p.dim - 1):
+        kernel = lattice_kernel(subset) if subset else [[1]]
         if len(kernel) != 1:
             continue
-        y = kernel[0]
-        for cand in (y, [-v for v in y]):
-            if all(sum(ai * yi for ai, yi in zip(row, cand)) >= 0 for row in a):
-                return True
+        values = [sum(ai * yi for ai, yi in zip(a, kernel[0])) for a in p.normals]
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            return True
     return False
 
 
@@ -77,17 +77,23 @@ def polytope_vertices(p: DelzantPolytope) -> list[tuple]:
     if p.m > MAX_FACETS:
         raise InputError(f"facet count {p.m} exceeds the enumeration cap {MAX_FACETS}")
     n = p.dim
+    scale = lcm(*(lam.denominator for lam in p.offsets))
+    rows = [
+        (*a, -lam.numerator * (scale // lam.denominator)) for a, lam in zip(p.normals, p.offsets)
+    ]
     found: dict = {}
-    for subset in combinations(range(p.m), n):
-        # independent normals meet in one point, read off the last column
-        R, pivots = rational_rref([[*p.normals[i], p.offsets[i]] for i in subset])
-        if pivots != list(range(n)):
+    for subset in combinations(rows, n):
+        # n independent facets meet in x = X / (scale * w): the kernel (X, w)
+        kernel = lattice_kernel(subset)
+        if len(kernel) != 1 or kernel[0][n] == 0:
             continue
-        x = [row[n] for row in R]
-        values = [sum(ai * xi for ai, xi in zip(row, x)) for row in p.normals]
-        if any(v < lam for v, lam in zip(values, p.offsets)):
+        v = kernel[0] if kernel[0][n] > 0 else [-c for c in kernel[0]]
+        # row . (X, w) = scale * w * (<a_i, x> - lambda_i), so >= 0 on the inner side
+        values = [sum(r * c for r, c in zip(row, v)) for row in rows]
+        if any(value < 0 for value in values):
             continue
-        found[tuple(x)] = tuple(i for i, (v, lam) in enumerate(zip(values, p.offsets)) if v == lam)
+        x = tuple(Fraction(c, scale * v[n]) for c in v[:n])
+        found[x] = tuple(i for i, value in enumerate(values) if value == 0)
     return sorted(found.items())
 
 

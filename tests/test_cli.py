@@ -8,6 +8,8 @@ from toricnet.cli import main
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
 BRIDGE = "2A <-> A + B : k1, k2\nA + B <-> 2B : k3, k4\n"
+CP2_FACETS = [[1, 2], [1, 3], [2, 3]]
+CP2_LAMBDA = [[1, 0, -1], [0, 1, -1]]
 
 
 @pytest.fixture()
@@ -321,6 +323,34 @@ class TestToric:
         assert err["kind"] == "NonSmooth"
         assert err["divisors"] == [2]
 
+    @pytest.mark.parametrize(
+        "command, field, data",
+        [
+            ("delzant", "normals", {"normals": [[1.7, 0], [0, 1], [-1, -1]], "offsets": [0, 0, -4]}),
+            ("delzant", "normals", {"normals": [[True, 0], [0, 1], [-1, -1]], "offsets": [0, 0, -4]}),
+            ("validate", "lambda", {"facets": CP2_FACETS, "lambda": [[1, 0, -1.9], [0, 1, -1]]}),
+            ("validate", "facets", {"facets": [[1, 2], [1, 3], [2, 2.5]], "lambda": CP2_LAMBDA}),
+            ("validate", "facets", {"facets": [[True, 2], [1, 3], [2, 3]], "lambda": CP2_LAMBDA}),
+        ],
+    )
+    def test_non_integer_json_entries_exit_1(self, run, tmp_path, command, field, data):
+        p = tmp_path / "data.json"
+        p.write_text(json.dumps(data))
+        flag = "--polytope" if command == "delzant" else "--quasitoric"
+        code, out = run("toric", command, flag, str(p))
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "InputError"
+        assert err["detail"].startswith(f"{field} entries must be integers")
+
+    def test_integral_json_floats_read_as_integers(self, run, simplex_file, tmp_path):
+        p = tmp_path / "floats.json"
+        normals = [[1.0, 0], [0, 1], [-1, -1.0]]
+        p.write_text(json.dumps({"normals": normals, "offsets": ["0", "0", "-4"]}))
+        assert run("toric", "delzant", "--polytope", str(p)) == run(
+            "toric", "delzant", "--polytope", simplex_file
+        )
+
 
 class TestHarness:
     def test_unknown_group_exit_1(self, run):
@@ -339,6 +369,25 @@ class TestHarness:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+
+BAD_INTEGER_ARGUMENTS = [
+    ["hopf", "coproduct", "--algebra", "bfk", "--degree", "0"],
+    ["hopf", "antipode", "--algebra", "ln", "--degree", "0"],
+    ["qsym", "product", "--left", "0,1", "--right", "1"],
+    ["qsym", "pair", "--word", "0", "--comp", "1"],
+    ["qsym", "realize", "--comp", "1,2", "--nvars", "-1"],
+    ["sym", "convert", "--element", "e:0", "--to", "h"],
+    ["sym", "convert", "--element", "e:1,2", "--to", "h"],
+    ["crn", "simulate", "A <-> B : 1, 1", "--c0", "1,0", "--t-end", "0.1", "--record-every", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INTEGER_ARGUMENTS, ids=" ".join)
+def test_bad_integer_argument_exit_1(run, argv):
+    code, out = run(*argv)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InputError"
 
 
 class TestParserReuse:

@@ -7,11 +7,14 @@ refactor of the algebra types cannot change a printed byte unnoticed.
 ``@name`` in an argument stands for ``tests/golden/inputs/name``.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from toricnet.cli import main
+from toricnet.exactcore import matrices
+from toricnet.torictop import quasitoric
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,3 +87,23 @@ def test_json_output_is_byte_identical(name, capsys):
     assert main(argv(name)) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_cold_polytope_charnum_makes_no_rational_elimination(capsys, monkeypatch):
+    """Delzant vertices and smoothness are lattice questions: a cold
+    ``toric charnum --polytope`` runs no Fraction Gauss-Jordan elimination."""
+    calls = []
+    original = matrices.rational_rref
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricnet") and vars(module).get("rational_rref") is original:
+            monkeypatch.setattr(module, "rational_rref", counted)
+    monkeypatch.setattr(quasitoric, "_CONTEXTS", {})
+    name = "toric_charnum_cube_cut_normal"
+    assert main(argv(name)) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert calls == []

@@ -506,6 +506,32 @@ def _lattice_cases(count=300):
 LATTICE_CASES = _lattice_cases()
 
 
+
+def _larger_lattice_cases(count=60):
+    """Seeded integer matrices of 1..9 x 1..9 with entries in [-20, 20]. In two
+    of every five, the last row (the last column, when there are more rows
+    than columns) is the difference of two others, or zero when there is no
+    pair, so that about 40% are rank-deficient."""
+    rng = random.Random(1)
+    cases = []
+    for i in range(count):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        if i % 5 < 2:
+            rows = a if m <= n else [list(col) for col in zip(*a)]
+            if len(rows) < 3:
+                rows[-1] = [0] * len(rows[-1])
+            else:
+                j, k = rng.sample(range(len(rows) - 1), 2)
+                rows[-1] = [x - y for x, y in zip(rows[j], rows[k])]
+            a = rows if m <= n else [list(row) for row in zip(*rows)]
+        cases.append(a)
+    return cases
+
+
+LARGER_LATTICE_CASES = _larger_lattice_cases()
+
+
 def test_lattice_cases_include_rank_deficient_matrices():
     deficient = [a for a in LATTICE_CASES if sympy.Matrix(a).rank() < min(len(a), len(a[0]))]
     assert len(deficient) >= len(LATTICE_CASES) // 3
@@ -525,8 +551,20 @@ def test_hermite_matches_sympy():
         assert [row for row in h if any(row)] == want, a
 
 
+def test_larger_lattice_cases_include_rank_deficient_matrices():
+    cases = LARGER_LATTICE_CASES
+    deficient = [a for a in cases if sympy.Matrix(a).rank() < min(len(a), len(a[0]))]
+    assert len(deficient) >= len(cases) // 3
+
+
 def test_smith_matches_sympy():
     for a in LATTICE_CASES:
+        d = sympy_snf(sympy.Matrix(a), domain=ZZ)
+        assert smith_normal_form(a) == [abs(int(x)) for x in d.diagonal() if x], a
+
+
+def test_smith_matches_sympy_on_larger_matrices():
+    for a in LARGER_LATTICE_CASES:
         d = sympy_snf(sympy.Matrix(a), domain=ZZ)
         assert smith_normal_form(a) == [abs(int(x)) for x in d.diagonal() if x], a
 

@@ -1,7 +1,17 @@
+import functools
+import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
+from itertools import combinations
+from math import gcd
 
 import pytest
+import sympy
+from scipy.optimize import linprog
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from toricnet.crn import parse_network
 from toricnet.errors import (
@@ -325,6 +335,153 @@ class TestDelzant:
             DelzantPolytope(((2, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
         with pytest.raises(InputError):
             DelzantPolytope(((1, 0), (0, 1)), (F(0),))
+
+
+# ---------------------------------------------------------------- Delzant oracle
+#
+# Outcomes of delzant_to_quasitoric from code that shares nothing with it:
+# boundedness by linear programs over the recession cone, vertices by sympy
+# solves over every n-subset of facets, divisors by sympy's Smith form, and
+# the refusals in their documented order.
+
+
+def _oracle_polytopes(count=300):
+    """Seeded polytopes of dimension 1..3 with n to n + 5 primitive normals,
+    entries in [-2, 2], and rational offsets, most of them <= 0. About a third
+    start from the simplex and a third from the cube, so that many are
+    bounded. Two more have normals spanning a line in dimension 3, where no
+    n - 1 of them cut out a ray."""
+    rng = random.Random(15)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        start = rng.randrange(3)
+        if start == 0:
+            normals = unit + [(-1,) * n]
+        elif start == 1:
+            normals = unit + [tuple(-x for x in a) for a in unit]
+        else:
+            normals = []
+        # a started polytope gets up to two cuts, a random one n to n + 5 normals
+        size = min(n + 5, len(normals) + rng.randint(0, 2)) if normals else rng.randint(n, n + 5)
+        while len(normals) < size:
+            a = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(a) and gcd(*(abs(x) for x in a)) == 1:
+                normals.append(a)
+        rng.shuffle(normals)
+        offsets = [
+            F(-rng.randint(0, 4) if rng.random() < 0.9 else rng.randint(1, 2), rng.randint(1, 3))
+            for _ in normals
+        ]
+        cases.append((tuple(normals), tuple(offsets)))
+    cases.append((((1, 0, 0), (-1, 0, 0)), (F(0), F(-1))))
+    cases.append((((0, 1, -1), (0, -1, 1), (0, 1, -1)), (F(0), F(-2), F(-1, 2))))
+    return cases
+
+
+ORACLE_POLYTOPES = _oracle_polytopes()
+
+
+def _oracle_is_unbounded(normals) -> bool:
+    # unbounded iff some y != 0 has A y >= 0; scaled into the box, some
+    # coordinate of such a y reaches at least 1/2 in absolute value
+    n = len(normals[0])
+    for k in range(n):
+        for sign in (1, -1):
+            objective = [0] * n
+            objective[k] = -sign
+            res = linprog(
+                objective,
+                A_ub=[[-x for x in a] for a in normals],
+                b_ub=[0] * len(normals),
+                bounds=[(-1, 1)] * n,
+            )
+            assert res.status == 0, res.message
+            if -res.fun > 1e-6:
+                return True
+    return False
+
+
+@functools.cache
+def _oracle_vertices(normals, offsets) -> list:
+    n = len(normals[0])
+    found = {}
+    for subset in combinations(range(len(normals)), n):
+        a = DomainMatrix([[QQ(x) for x in normals[i]] for i in subset], (n, n), QQ)
+        if a.det() == 0:
+            continue
+        b = DomainMatrix([[QQ(offsets[i].numerator, offsets[i].denominator)] for i in subset],
+                         (n, 1), QQ)
+        x = tuple(F(int(c.numerator), int(c.denominator)) for [c] in a.lu_solve(b).to_list())
+        values = [sum(ai * xi for ai, xi in zip(row, x)) for row in normals]
+        if all(v >= lam for v, lam in zip(values, offsets)):
+            found[x] = tuple(i for i, (v, lam) in enumerate(zip(values, offsets)) if v == lam)
+    return sorted(found.items())
+
+
+def _oracle_outcome(normals, offsets):
+    """("ok", sorted 1-based facets), ("InputError", message) or ("NonSmooth",
+    divisors)."""
+    if _oracle_is_unbounded(normals):
+        return "InputError", "polytope is unbounded"
+    vertices = _oracle_vertices(normals, offsets)
+    if not vertices:
+        return "InputError", "polytope has no vertices"
+    n = len(normals[0])
+    for x, active in vertices:
+        if len(active) != n:
+            coords = tuple(str(c) for c in x)
+            detail = f"vertex {coords} lies on {len(active)} facets, polytope is not simple"
+            return "InputError", detail
+    covered = {i for _, active in vertices for i in active}
+    missing = [i + 1 for i in range(len(normals)) if i not in covered]
+    if missing:
+        return "InputError", f"redundant facet(s) {missing}: never active at a vertex"
+    divisors = []
+    for _, active in vertices:
+        d = sympy_snf(sympy.Matrix([normals[i] for i in active]).T, domain=ZZ)
+        divisors += [abs(int(v)) for v in d.diagonal() if abs(v) != 1]
+    if divisors:
+        return "NonSmooth", sorted(divisors)
+    return "ok", tuple(sorted(tuple(i + 1 for i in active) for _, active in vertices))
+
+
+@functools.cache
+def _oracle_outcomes() -> list:
+    return [_oracle_outcome(*case) for case in ORACLE_POLYTOPES]
+
+
+def test_oracle_corpus_reaches_every_outcome():
+    # an InputError is told by the last word of its message
+    kinds = Counter(
+        kind if kind != "InputError" else detail.split()[-1] for kind, detail in _oracle_outcomes()
+    )
+    assert kinds["ok"] >= 20 and kinds["NonSmooth"] >= 15, kinds
+    for last_word in ("unbounded", "vertices", "simple", "vertex"):
+        assert kinds[last_word] >= 5, kinds
+
+
+def test_delzant_matches_the_oracle():
+    for (normals, offsets), want in zip(ORACLE_POLYTOPES, _oracle_outcomes()):
+        try:
+            q, u = delzant_to_quasitoric(DelzantPolytope(normals, offsets))
+        except NonSmooth as exc:
+            got = "NonSmooth", exc.divisors
+        except InputError as exc:
+            got = "InputError", str(exc)
+        else:
+            got = "ok", q.complex.facets
+            assert q.lam == tuple(zip(*normals))
+            assert u == [-lam for lam in offsets]
+        assert got == want, (normals, offsets)
+
+
+def test_polytope_vertices_match_the_oracle():
+    for (normals, offsets), want in zip(ORACLE_POLYTOPES, _oracle_outcomes()):
+        if want[1] != "polytope is unbounded":
+            got = polytope_vertices(DelzantPolytope(normals, offsets))
+            assert got == _oracle_vertices(normals, offsets), (normals, offsets)
 
 
 class TestBridge:
