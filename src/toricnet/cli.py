@@ -563,13 +563,21 @@ def _load_quasitoric(path: str, flip: bool):
     return QuasitoricData(SimplicialComplex(m, facets), lam, orientation_flip=flip)
 
 
+def _offset(v) -> Fraction:
+    """A JSON offset as a rational: a float through its decimal text, so -4.1
+    reads as -41/10 and not as its binary value; a bool is refused."""
+    if isinstance(v, bool):
+        raise InputError(f"offsets must be numbers, got {json.dumps(v)}")
+    return Fraction(repr(v)) if isinstance(v, float) else Fraction(v)
+
+
 def _load_polytope(path: str):
     from .torictop import DelzantPolytope
 
     data = _read_json(path)
     try:
         normals = _int_rows(data, "normals")
-        offsets = tuple(Fraction(v) for v in data["offsets"])
+        offsets = tuple(_offset(v) for v in data["offsets"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"polytope JSON needs normals and offsets: {exc}") from exc
     return DelzantPolytope(normals, offsets)
@@ -588,12 +596,8 @@ def _cmd_toric_validate(args) -> int:
 
 def _cmd_toric_charnum(args) -> int:
     from .ncsf import partitions
-    from .torictop import (
-        chern_numbers,
-        delzant_to_quasitoric,
-        hamiltonian_numbers,
-        mxi_numbers,
-    )
+    from .torictop import delzant_to_quasitoric, hamiltonian_numbers, mxi_numbers
+    from .torictop.charnum import _chern_values
 
     if (args.polytope is None) == (args.quasitoric is None):
         raise InputError("give exactly one of --polytope or --quasitoric")
@@ -607,7 +611,8 @@ def _cmd_toric_charnum(args) -> int:
     else:
         q = _load_quasitoric(args.quasitoric, flip=args.orientation_flip)
     cls = mxi_numbers(q)
-    cherns = [(lam, chern_numbers(q, lam, bundle=args.bundle)) for lam in partitions(q.n)]
+    lams = partitions(q.n)
+    cherns = list(zip(lams, _chern_values(q, lams, args.bundle)))
     payload = {
         "n": q.n,
         "bundle": args.bundle,
@@ -676,7 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("trees", "steady", "simulate"):
             p.add_argument("--bindings", help="k1=2,k2=1/3")
         if name == "steady":
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument(
+                "--tol",
+                type=float,
+                default=1e-9,
+                help="bound on the relative residual of the solved log-linear system, "
+                "an internal cross-check; balancing itself is decided exactly",
+            )
         if name == "simulate":
             p.add_argument("--c0", required=True, help="initial concentrations")
             p.add_argument("--t-end", type=float, required=True)
@@ -802,7 +813,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): the output was cut, not
+        # wrong; stdout goes to devnull so the interpreter's final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DomainRefusal as exc:
         print(json.dumps({"error": exc.payload()}, sort_keys=True))
         return 2

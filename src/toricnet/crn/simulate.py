@@ -9,10 +9,9 @@ violation as an internal bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import InputError, InternalError
-from ..exactcore import right_kernel_rational, transpose
+from ..exactcore import lattice_kernel, transpose
 from .network import build_rate_matrix, stoichiometric_matrix
 from .parser import Network
 from .toric import psi_vector
@@ -28,9 +27,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def conservation_laws(net: Network) -> list[list[Fraction]]:
-    """Basis of the left kernel of the stoichiometric matrix."""
-    return right_kernel_rational(transpose(stoichiometric_matrix(net)))
+def conservation_laws(net: Network) -> list[list[int]]:
+    """Integer basis of the left kernel of the stoichiometric matrix."""
+    return lattice_kernel(transpose(stoichiometric_matrix(net)))
 
 
 def simulate(

@@ -2,19 +2,21 @@
 
 The kernel of the Cayley matrix cuts out binomials prod K^{u+} - prod K^{u-}
 in the tree constants; rates admit a complex-balancing steady state exactly
-when all of them vanish. The Birch point solves the log-linear system pairing
-complexes within each linkage class, with minimum-norm tie-breaking.
+when all of them vanish. The tree constants are exact rationals, so that
+test is exact. The Birch point then solves the log-linear system pairing
+complexes within each linkage class, with minimum-norm tie-breaking; all of
+its linear algebra is over the integers, and floats enter only through the
+logarithms of the tree constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from ..errors import InternalError, NotComplexBalanced, NotWeaklyReversible
-from ..exactcore import lattice_kernel
+from ..exactcore import ff_determinant, hermite_normal_form, lattice_kernel, mat_mul, transpose
 from .network import build_rate_matrix, cayley_matrix, is_weakly_reversible, linkage_classes
 from .parser import Network
 from .trees import tree_constants
@@ -66,34 +68,87 @@ def psi_vector(net: Network, c) -> list[float]:
     return out
 
 
+def _log(q: Fraction) -> float:
+    """log of a positive rational, through its numerator and denominator so
+    that no float conversion overflows."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _log_ratio(r: Fraction) -> float:
+    """log r, accurate also when r is within rounding of 1."""
+    return math.log1p(float(r - 1)) if Fraction(1, 2) < r < 2 else _log(r)
+
+
+def _adjugate(g: list[list[int]]) -> list[list[int]]:
+    """adj(G), with G * adj(G) = det(G) * I, from the cofactors of G."""
+    r = len(g)
+    return [
+        [
+            (-1) ** (i + j)
+            * ff_determinant([row[:i] + row[i + 1 :] for k, row in enumerate(g) if k != j])
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+
+
 def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -> SteadyState:
     """Complex-balancing steady state, or a structured refusal.
 
-    Solves <Y_k - Y_l, x> = log K_k - log K_l in log-coordinates over all
-    complex pairs within each linkage class (least squares, minimum-norm x).
-    A residual above tol (relative) means the rates are not complex balancing.
+    Balancing is decided exactly: the tree constants K are rationals, and
+    the rates are complex balancing iff prod K^{u+} == prod K^{u-} for every
+    binomial of ``toric_binomials`` (Craciun-Dickenstein-Shiu-Sturmfels
+    2009, Thm 9). A violated binomial raises NotComplexBalanced, whose
+    residual is |log prod K^{u+} - log prod K^{u-}|.
+
+    The point then solves <Y_k - Y_base, x> = log K_k - log K_base in
+    log-coordinates, base the first complex of each linkage class, with
+    minimum-norm x. The pivot columns of the Hermite normal form of the
+    transposed integer matrix M of these differences pick a row basis B of
+    M, and x = B^T (B B^T)^{-1} b_B, the Gram inverse taken exactly from its
+    adjugate, so floats enter only through the logs. ``tol`` bounds the
+    relative residual |M x - b| of the solved system and |A * Psi(c)| is
+    verified; either failing is an InternalError, not a refusal.
     """
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("network is not weakly reversible")
     trees = tree_constants(net, bindings if bindings is not None else {})
-    rows: list[list[float]] = []
+    fracs = [Fraction(k) for k in trees]
+    for binomial in toric_binomials(net):
+        # prod K^{u+} == prod K^{u-}, denominators cleared to one integer equation
+        plus = math.prod(k.numerator ** p * k.denominator ** m
+                         for k, p, m in zip(fracs, binomial.u_plus, binomial.u_minus))
+        minus = math.prod(k.numerator ** m * k.denominator ** p
+                          for k, p, m in zip(fracs, binomial.u_plus, binomial.u_minus))
+        if plus != minus:
+            residual = abs(_log_ratio(Fraction(plus, minus)))
+            raise NotComplexBalanced(
+                f"rates violate the balancing binomial {binomial.text} "
+                f"(residual {residual:.3e})",
+                residual=residual,
+            )
+
+    logs = [_log(k) for k in fracs]
+    rows: list[list[int]] = []
     rhs: list[float] = []
     for cls in linkage_classes(net):
-        for a_idx in range(len(cls)):
-            for b_idx in range(a_idx + 1, len(cls)):
-                k, l = cls[a_idx], cls[b_idx]
-                yk, yl = net.complexes[k], net.complexes[l]
-                rows.append([float(a - b) for a, b in zip(yk, yl)])
-                rhs.append(math.log(trees[k]) - math.log(trees[l]))
-    m = np.array(rows, dtype=float)
-    b = np.array(rhs, dtype=float)
-    x, *_ = np.linalg.lstsq(m, b, rcond=None)
-    residual = float(np.max(np.abs(m @ x - b))) if len(b) else 0.0
-    scale = max(1.0, float(np.max(np.abs(b))) if len(b) else 0.0)
+        base = cls[0]
+        for k in cls[1:]:
+            rows.append([a - b for a, b in zip(net.complexes[k], net.complexes[base])])
+            rhs.append(logs[k] - logs[base])
+    h, _ = hermite_normal_form(transpose(rows))
+    pivots = [next(j for j, v in enumerate(row) if v) for row in h if any(row)]
+    basis = [rows[j] for j in pivots]
+    gram = mat_mul(basis, transpose(basis))
+    det = ff_determinant(gram)
+    # x = B^T adj(G) b_B / det(G): an exact integer matrix times floats
+    x = [sum(p * rhs[j] for p, j in zip(prow, pivots)) / det
+         for prow in mat_mul(transpose(basis), _adjugate(gram))]
+    residual = max(abs(sum(a * v for a, v in zip(row, x)) - b) for row, b in zip(rows, rhs))
+    scale = max(1.0, *map(abs, rhs))
     if residual > tol * scale:
-        raise NotComplexBalanced(
-            f"rates violate the balancing binomials (residual {residual:.3e})",
-            residual=residual,
+        raise InternalError(
+            f"log-linear solve failed: residual {residual:.3e} exceeds tol {tol:g}"
         )
     c = tuple(math.exp(v) for v in x)
 

@@ -179,6 +179,21 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     return H, U
 
 
+def _integer_rows(a: Matrix) -> Matrix:
+    """Each row of a rational matrix times the lcm of its denominators: the
+    row spaces, and so the kernel and the rank, do not change."""
+    cleared = []
+    for row in a:
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append([int(x * scale) for x in row])
+    return cleared
+
+
+def rank(a: Matrix) -> int:
+    """Rank over Q: the number of nonzero rows of the Hermite normal form."""
+    return sum(1 for row in hermite_normal_form(_integer_rows(a))[0] if any(row))
+
+
 def lattice_kernel(a: Matrix) -> list[list[int]]:
     """Basis of the integer kernel {u : A u = 0}, canonically normalized.
 
@@ -188,11 +203,7 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
     scaling does not change the kernel).
     """
     m, n = dims(a)
-    cleared = []
-    for row in a:
-        scale = lcm(*(x.denominator for x in row))
-        cleared.append([int(x * scale) for x in row])
-    B = transpose(cleared)  # n x m; rows indexed by kernel coordinates
+    B = transpose(_integer_rows(a))  # n x m; rows indexed by kernel coordinates
     H, U = hermite_normal_form(B)
     kernel_rows = [U[i] for i in range(n) if all(x == 0 for x in H[i])]
     if not kernel_rows:
@@ -249,12 +260,6 @@ def rational_rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == m:
             break
     return R, pivots
-
-
-def rank(a: Matrix) -> int:
-    if dims(a)[0] == 0:
-        return 0
-    return len(rational_rref(a)[1])
 
 
 def right_kernel_rational(a: Matrix) -> list[list[Fraction]]:

@@ -52,15 +52,16 @@ def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> list:
     return out
 
 
-def _symmetric_classes(q: QuasitoricData, k: int, complete: bool) -> list:
+def _symmetric_classes(ctx, k: int, complete: bool) -> list:
     """[e_0, ..., e_k](v_1..v_m), or [h_0, ..., h_k] with ``complete``, as
-    per-facet restrictions. Each weight w of a facet adds w * x_{j-1} to x_j:
-    from the top degree down for e (e_{j-1} without w), from 1 up for h."""
+    per-facet restrictions in the context ``ctx``. Each weight w of a facet
+    adds w * x_{j-1} to x_j: from the top degree down for e (e_{j-1} without
+    w), from 1 up for h."""
     if k < 0:
         raise InputError(f"degree {k} < 0")
     steps = range(1, k + 1) if complete else range(k, 0, -1)
     per_facet = []
-    for ws in eval_context(q).weights:
+    for ws in ctx.weights:
         acc = [1] + [0] * k
         for w in ws:
             for j in steps:
@@ -71,12 +72,12 @@ def _symmetric_classes(q: QuasitoricData, k: int, complete: bool) -> list:
 
 def elementary_class(q: QuasitoricData, k: int) -> list:
     """e_k(v_1..v_m), as per-facet restrictions."""
-    return _symmetric_classes(q, k, complete=False)[k]
+    return _symmetric_classes(eval_context(q), k, complete=False)[k]
 
 
 def complete_class(q: QuasitoricData, k: int) -> list:
     """h_k(v_1..v_m), the sum of all degree-k monomials, as per-facet restrictions."""
-    return _symmetric_classes(q, k, complete=True)[k]
+    return _symmetric_classes(eval_context(q), k, complete=True)[k]
 
 
 def linear_class(q: QuasitoricData, coeffs) -> list:
@@ -87,19 +88,31 @@ def linear_class(q: QuasitoricData, coeffs) -> list:
     return [sum(coeffs[v - 1] * w for v, w in zip(f, ws)) for f, ws in zip(ctx.basis, ctx.weights)]
 
 
-def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int:
-    """c_I[M] for a partition I of n; bundle 'tangent' or 'normal'."""
-    parts = [int(p) for p in partition]
-    if sum(parts) != q.n:
-        raise InputError(f"partition weight {sum(parts)} != n = {q.n}")
+def _chern_values(q: QuasitoricData, partitions, bundle: str) -> list[int]:
+    """c_I[M] for each partition I of n in ``partitions``, all from one e (or
+    h) table and one evaluation context."""
+    parts_list = [[int(p) for p in partition] for partition in partitions]
+    for parts in parts_list:
+        if sum(parts) != q.n:
+            raise InputError(f"partition weight {sum(parts)} != n = {q.n}")
     if bundle not in ("tangent", "normal"):
         raise InputError(f"unknown bundle {bundle!r}")
-    if any(p < 0 for p in parts):
-        raise InputError(f"partition {tuple(parts)} has a negative part")
-    classes = _symmetric_classes(q, max(parts, default=0), complete=bundle == "normal")
+    for parts in parts_list:
+        if any(p < 0 for p in parts):
+            raise InputError(f"partition {tuple(parts)} has a negative part")
+    ctx = eval_context(q)
+    top = max((p for parts in parts_list for p in parts), default=0)
+    classes = _symmetric_classes(ctx, top, complete=bundle == "normal")
     sign = (-1) ** q.n if bundle == "normal" else 1  # prod of (-1)^p over a partition of n
-    values = [sign * prod(vals) for vals in zip(*(classes[p] for p in parts))]
-    return eval_context(q).evaluate_class(values)
+    return [
+        ctx.evaluate_class([sign * prod(vals) for vals in zip(*(classes[p] for p in parts))])
+        for parts in parts_list
+    ]
+
+
+def chern_numbers(q: QuasitoricData, partition, bundle: str = "tangent") -> int:
+    """c_I[M] for a partition I of n; bundle 'tangent' or 'normal'."""
+    return _chern_values(q, [partition], bundle)[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ def hamiltonian_numbers(q: QuasitoricData, u_coeffs, convention: str = "mxi") ->
     if convention == "mxi":
         rows = [(a, entry(i, [_composition_class(q, a)])) for i in weights for a in compositions(i)]
     elif convention == "ginzburg":
-        h = _symmetric_classes(q, q.n, complete=True)
+        h = _symmetric_classes(ctx, q.n, complete=True)
         rows = [
             (lam, entry(i, [h[p] for p in lam], (-1) ** i))
             for i in weights

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from ..errors import InputError, NonSmooth
 from ..exactcore import lattice_kernel, smith_normal_form
 from .complexes import SimplicialComplex
-from .quasitoric import QuasitoricData
+from .quasitoric import QuasitoricData, integer_rows
 
 MAX_FACETS = 12
 
@@ -31,7 +31,7 @@ class DelzantPolytope:
     offsets: tuple[Fraction, ...]
 
     def __post_init__(self):
-        normals = tuple(tuple(int(x) for x in a) for a in self.normals)
+        normals = integer_rows(self.normals, "normal")
         offsets = tuple(Fraction(x) for x in self.offsets)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)

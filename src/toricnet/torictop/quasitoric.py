@@ -39,6 +39,20 @@ from .complexes import SimplicialComplex, ValidityReport, orientation_signs, sph
 Monomial = tuple[int, ...]  # exponents, length m
 
 
+def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ints; an entry with a fractional part is refused
+    with InputError, not truncated."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        ints = tuple(int(x) for x in row)
+        if ints != row:
+            bad = next(x for x, i in zip(row, ints) if x != i)
+            raise InputError(f"{name} entries must be integers, got {bad!r}")
+        out.append(ints)
+    return tuple(out)
+
+
 def facet_determinant(lam, facet: tuple[int, ...]) -> int:
     return ff_determinant([[lam[row][v - 1] for v in facet] for row in range(len(lam))])
 
@@ -70,7 +84,7 @@ class QuasitoricData:
     orientation_flip: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(tuple(int(x) for x in row) for row in self.lam))
+        object.__setattr__(self, "lam", integer_rows(self.lam, "lambda"))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,10 @@
 import io
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +15,13 @@ TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
 BRIDGE = "2A <-> A + B : k1, k2\nA + B <-> 2B : k3, k4\n"
 CP2_FACETS = [[1, 2], [1, 3], [2, 3]]
 CP2_LAMBDA = [[1, 0, -1], [0, 1, -1]]
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports toricnet from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 @pytest.fixture()
@@ -343,6 +355,20 @@ class TestToric:
         assert err["kind"] == "InputError"
         assert err["detail"].startswith(f"{field} entries must be integers")
 
+    def test_float_offset_read_through_its_decimal_text(self, run, tmp_path):
+        p = tmp_path / "floats.json"
+        p.write_text(json.dumps({"normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [0, 0.0, -4.1]}))
+        code, out = run("toric", "delzant", "--polytope", str(p), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["u"] == ["0", "0", "41/10"]
+
+    def test_bool_offset_exit_1(self, run, tmp_path):
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [False, 0, -4]}))
+        code, out = run("toric", "delzant", "--polytope", str(p))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "InputError"
+
     def test_integral_json_floats_read_as_integers(self, run, simplex_file, tmp_path):
         p = tmp_path / "floats.json"
         normals = [[1.0, 0], [0, 1], [-1, -1.0]]
@@ -353,6 +379,30 @@ class TestToric:
 
 
 class TestHarness:
+    def test_no_numpy_at_import(self):
+        code = (
+            "import sys, toricnet.cli, toricnet.crn, toricnet.torictop; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        assert _python("-c", code).wait(timeout=60) == 0
+
+    def test_closed_stdout_exits_quietly(self):
+        # 158 kB of symbolic tree constants, far more than a pipe buffers,
+        # with the reader gone after 100 bytes (``| head -c 100``)
+        labels = ["0", "A", "B", "C", "D", "E"]
+        text = "\n".join(
+            f"{a} -> {b} : k{i}" for i, (a, b) in enumerate(itertools.permutations(labels, 2))
+        )
+        proc = _python(
+            "-m", "toricnet.cli", "crn", "trees", text,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+
     def test_unknown_group_exit_1(self, run):
         code, out = run("bogus")
         assert code == 1

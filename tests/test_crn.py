@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -339,6 +341,62 @@ class TestTrees:
         assert tree_constants(net, rates) == expected
 
 
+def _random_weakly_reversible(rng: random.Random):
+    """(reaction text, bindings, balanced): one to three linkage classes of
+    two to four distinct complexes over two to four species, each class a
+    directed cycle plus random chords. Seven in ten get rates balanced at a
+    seeded point c*, rate_e = f_e / Psi_source(c*) for a positive
+    circulation f; the rest get rates drawn one by one."""
+    species = "ABCD"[: rng.randint(2, 4)]
+    seen, classes = set(), []
+    for _ in range(rng.randint(1, 3 if len(species) > 2 else 2)):
+        cls, size = [], rng.randint(2, 4)
+        while len(cls) < size:
+            y = tuple(rng.randint(0, 2) for _ in species)
+            if y not in seen:
+                seen.add(y)
+                cls.append(y)
+        classes.append(cls)
+    complexes = [y for cls in classes for y in cls]
+    edges, base = [], 0
+    for cls in classes:
+        nodes = list(range(base, base + len(cls)))
+        rng.shuffle(nodes)
+        es = {(nodes[i - 1], nodes[i]) for i in range(len(nodes))}
+        for _ in range(rng.randint(0, len(nodes))):
+            es.add(tuple(rng.sample(nodes, 2)))
+        edges += sorted(es)
+        base += len(cls)
+    balanced = rng.random() < 0.7
+    if balanced:
+        point = [rng.choice((Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2)) for _ in species]
+        flow = dict.fromkeys(edges, 0)
+        for s, t in edges:  # close each edge into a cycle by a shortest path t -> s
+            prev, queue = {t: None}, [t]
+            for v in queue:
+                for a, b in edges:
+                    if a == v and b not in prev:
+                        prev[b] = v
+                        queue.append(b)
+            w, v = rng.randint(1, 3), s
+            flow[(s, t)] += w
+            while prev[v] is not None:
+                flow[(prev[v], v)] += w
+                v = prev[v]
+        rates = [Fraction(flow[(s, t)]) / math.prod(x**e for x, e in zip(point, complexes[s]))
+                 for s, t in edges]
+    else:
+        rates = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in edges]
+
+    def label(y):
+        return " + ".join(f"{e}{sp}" if e > 1 else sp for sp, e in zip(species, y) if e) or "0"
+
+    text = "\n".join(
+        f"{label(complexes[s])} -> {label(complexes[t])} : k{i + 1}" for i, (s, t) in enumerate(edges)
+    )
+    return text, {f"k{i + 1}": r for i, r in enumerate(rates)}, balanced
+
+
 class TestToric:
     def test_bridge_binomials(self):
         net = parse_network(BRIDGE)
@@ -367,6 +425,68 @@ class TestToric:
         net = parse_network("2A <-> A + B : 1, 1\nA + B <-> 2B : 1, 2")
         with pytest.raises(NotComplexBalanced):
             birch_point(net)
+
+    # deficiency one, binomial K1*K3 - K2^2: (k2 k4) (k1 k3) == (k1 k4)^2, so
+    # with k1 = k2 = k3 = 1 the rates balance exactly when k4 == 1
+    DEFICIENCY_ONE = "0 <-> A : k1, k2\nA <-> 2A : k3, k4"
+
+    def test_birch_exact_balancing_accepts_the_binomial(self):
+        net = parse_network(self.DEFICIENCY_ONE)
+        assert [b.text for b in toric_binomials(net)] == ["K1*K3 - K2^2"]
+        st = birch_point(net, {"k1": 1, "k2": 1, "k3": 1, "k4": 1})
+        assert st.concentrations == (1.0,)
+        assert st.residual == 0.0
+
+    @pytest.mark.parametrize(
+        "k4, log_gap",
+        [
+            # a float least-squares residual of 5e-13 passes any usable tolerance
+            (Fraction(1000000000001, 1000000000000), 1e-12),
+            (Fraction(1000001, 1000000), 1e-6),
+        ],
+    )
+    def test_birch_exact_balancing_refuses_off_the_binomial(self, k4, log_gap):
+        net = parse_network(self.DEFICIENCY_ONE)
+        with pytest.raises(NotComplexBalanced, match=r"K1\*K3 - K2\^2") as exc:
+            birch_point(net, {"k1": 1, "k2": 1, "k3": 1, "k4": k4})
+        # |log(K1 K3) - log(K2^2)| = log k4
+        assert exc.value.residual == pytest.approx(log_gap, rel=1e-6)
+
+    def test_birch_matches_lstsq_on_seeded_networks(self):
+        """The exact-decision, integer-basis Birch point against numpy's
+        least-squares solution over all complex pairs, the way it was
+        computed with floats: the same refusals and the same point."""
+        import numpy as np
+
+        rng = random.Random(16)
+        accepted, classes, laws = 0, set(), set()
+        for _ in range(360):
+            text, bindings, balanced = _random_weakly_reversible(rng)
+            net = parse_network(text)
+            trees = tree_constants(net, bindings)
+            rows, rhs = [], []
+            for cls in linkage_classes(net):
+                for i, k in enumerate(cls):
+                    for l in cls[i + 1 :]:
+                        rows.append([a - b for a, b in zip(net.complexes[k], net.complexes[l])])
+                        rhs.append(math.log(trees[k]) - math.log(trees[l]))
+            m, b = np.array(rows, dtype=float), np.array(rhs, dtype=float)
+            x = np.linalg.lstsq(m, b, rcond=None)[0]
+            lstsq_residual = float(np.max(np.abs(m @ x - b)))
+            try:
+                st = birch_point(net, bindings)
+            except NotComplexBalanced:
+                assert not balanced, text
+                assert lstsq_residual > 1e-6, text
+                continue
+            assert lstsq_residual < 1e-12, text
+            accepted += 1
+            classes.add(len(linkage_classes(net)))
+            laws.add(len(conservation_laws(net)))
+            for got, want in zip(st.concentrations, np.exp(x)):
+                assert abs(got - want) <= 1e-12 * want, text
+        assert accepted >= 300
+        assert classes >= {1, 2, 3} and laws >= {0, 1, 2}
 
 
 class TestSimulate:

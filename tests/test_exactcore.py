@@ -106,6 +106,8 @@ class TestMatrices:
     def test_rref_rank_kernel(self):
         a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
         assert rank(a) == 2
+        assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+        assert rank([]) == 0
         basis = right_kernel_rational(a)
         assert len(basis) == 1
         for v in basis:

@@ -111,6 +111,13 @@ class TestValidation:
         assert not rep.valid
         assert any("|det| = 2" in msg for msg in rep.issues)
 
+    def test_non_integral_lambda_refused(self):
+        cp2 = cpn_data(2)
+        with pytest.raises(InputError, match="lambda entries must be integers"):
+            QuasitoricData(cp2.complex, ((1, 0, -1.5), (0, 1, -1)))
+        integral = QuasitoricData(cp2.complex, ((F(1), 0, -1.0), (0, 1, -1)))
+        assert integral.lam == cp2.lam
+
     def test_facet_determinant(self):
         assert facet_determinant(((1, 0, -1), (0, 1, -1)), (1, 2)) == 1
         assert facet_determinant(((1, 0, -2), (0, 1, -1)), (2, 3)) == 2
@@ -331,6 +338,10 @@ class TestDelzant:
             delzant_to_quasitoric(red)
 
     def test_constructor_checks(self):
+        with pytest.raises(InputError, match="normal entries must be integers"):
+            DelzantPolytope(((1.7, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
+        integral = DelzantPolytope(((F(1), 0.0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
+        assert integral.normals == ((1, 0), (0, 1), (-1, -1))
         with pytest.raises(InputError, match="primitive"):
             DelzantPolytope(((2, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
         with pytest.raises(InputError):
