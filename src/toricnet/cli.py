@@ -170,17 +170,13 @@ def _cmd_crn_trees(args) -> int:
     from .crn import tree_constants
 
     net = _load_network(args.input)
-    consts = tree_constants(net, _parse_bindings(args.bindings))
+    values = [value_str(v) for v in tree_constants(net, _parse_bindings(args.bindings))]
     payload = {
         "tree_constants": [
-            {"complex": net.complex_label(i), "value": value_str(v)}
-            for i, v in enumerate(consts)
+            {"complex": net.complex_label(i), "value": v} for i, v in enumerate(values)
         ]
     }
-    lines = [
-        f"K[{i + 1}] ({net.complex_label(i)}) = {value_str(v)}"
-        for i, v in enumerate(consts)
-    ]
+    lines = [f"K[{i + 1}] ({net.complex_label(i)}) = {v}" for i, v in enumerate(values)]
     _emit(payload, lines, args.format)
     return 0
 

@@ -8,6 +8,7 @@ violation as an internal bug, not bad input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import InputError, InternalError
@@ -43,6 +44,8 @@ def simulate(
     c0 = [float(x) for x in c0]
     if len(c0) != net.n_species:
         raise InputError(f"c0 needs {net.n_species} entries, got {len(c0)}")
+    if not all(map(math.isfinite, [*c0, t_end, dt])):
+        raise InputError("t_end, dt and the initial concentrations must be finite")
     if any(x < 0 for x in c0):
         raise InputError("initial concentrations must be non-negative")
     if dt <= 0 or t_end <= 0:

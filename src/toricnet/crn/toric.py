@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import InternalError, NotComplexBalanced, NotWeaklyReversible
+from ..errors import InputError, InternalError, NotComplexBalanced, NotWeaklyReversible
 from ..exactcore import ff_determinant, hermite_normal_form, lattice_kernel, mat_mul, transpose
 from .network import build_rate_matrix, cayley_matrix, is_weakly_reversible, linkage_classes
 from .parser import Network
@@ -108,8 +108,11 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     M, and x = B^T (B B^T)^{-1} b_B, the Gram inverse taken exactly from its
     adjugate, so floats enter only through the logs. ``tol`` bounds the
     relative residual |M x - b| of the solved system and |A * Psi(c)| is
-    verified; either failing is an InternalError, not a refusal.
+    verified; either failing is an InternalError, not a refusal. A ``tol``
+    that is not finite and positive is refused with InputError.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol!r}")
     if not is_weakly_reversible(net):
         raise NotWeaklyReversible("network is not weakly reversible")
     trees = tree_constants(net, bindings if bindings is not None else {})

@@ -38,12 +38,12 @@ def class_power(q: QuasitoricData, cls: list, k: int) -> list:
     return [x**k for x in cls]
 
 
-def _composition_class(q: QuasitoricData, alpha: tuple[int, ...]) -> list:
-    """M_alpha(v) per facet: M_alpha of the facet's weights in vertex order,
-    the v_i off the facet restricting to 0. acc[j] is M of the first j parts
-    over the weights read so far."""
+def _composition_class(ctx, alpha: tuple[int, ...]) -> list:
+    """M_alpha(v) per facet of the context ``ctx``: M_alpha of the facet's
+    weights in vertex order, the v_i off the facet restricting to 0. acc[j]
+    is M of the first j parts over the weights read so far."""
     out = []
-    for ws in eval_context(q).weights:
+    for ws in ctx.weights:
         acc = [1] + [0] * len(alpha)
         for w in ws:
             for j in range(len(alpha), 0, -1):
@@ -136,7 +136,7 @@ class MxiClass:
 def mxi_numbers(q: QuasitoricData) -> MxiClass:
     """The degree-n composition-indexed characteristic class."""
     ctx = eval_context(q)
-    rows = [(alpha, ctx.evaluate_class(_composition_class(q, alpha))) for alpha in compositions(q.n)]
+    rows = [(alpha, ctx.evaluate_class(_composition_class(ctx, alpha))) for alpha in compositions(q.n)]
     return MxiClass(degree=q.n, table=tuple(rows))
 
 
@@ -164,7 +164,7 @@ def hamiltonian_numbers(q: QuasitoricData, u_coeffs, convention: str = "mxi") ->
 
     weights = range(q.n + 1)
     if convention == "mxi":
-        rows = [(a, entry(i, [_composition_class(q, a)])) for i in weights for a in compositions(i)]
+        rows = [(a, entry(i, [_composition_class(ctx, a)])) for i in weights for a in compositions(i)]
     elif convention == "ginzburg":
         h = _symmetric_classes(ctx, q.n, complete=True)
         rows = [

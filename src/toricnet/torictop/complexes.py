@@ -53,6 +53,9 @@ class ValidityReport:
     valid: bool = True
     issues: list = field(default_factory=list)
     checks_run: list = field(default_factory=list)
+    orientation: dict | None = None  # orientation_signs, once the complex passes "orientable"
+    dets: tuple = ()  # per facet of quasitoric data: det Lambda_sigma
+    inverses: tuple = ()  # and the rows of Lambda_sigma^{-1} (where det = +-1)
 
     def fail(self, message: str) -> None:
         self.valid = False
@@ -118,7 +121,7 @@ def sphere_battery(k: SimplicialComplex, report: ValidityReport | None = None) -
     rep.checks_run.append("orientable")
     if rep.valid:
         try:
-            orientation_signs(k)
+            rep.orientation = orientation_signs(k)
         except InputError as e:
             rep.fail(str(e))
     return rep

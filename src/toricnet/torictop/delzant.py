@@ -5,9 +5,11 @@ kernels of row subsets: a recession ray is the one-line kernel of n-1
 normals with every normal on one side of it, and a vertex is the one-line
 kernel (X, w), w != 0, of n rows (a_i, -L*lambda_i), L the lcm of the offset
 denominators, with every row on its inner side. The polytope must be
-bounded and simple, and each vertex's normal set must be unimodular. The
-dual boundary complex plus the normals-as-columns matrix is the quasitoric
-data; the normalized symplectic class is sum(-lambda_i) v_i.
+bounded and simple. The dual boundary complex plus the normals-as-columns
+matrix is the quasitoric data; it is smooth when each facet minor (a
+vertex's normals) has |det| = 1 in the data's validation pass, and the
+Smith form of a failing minor names the refusal's divisors. The normalized
+symplectic class is sum(-lambda_i) v_i.
 """
 
 from __future__ import annotations
@@ -115,17 +117,17 @@ def delzant_to_quasitoric(p: DelzantPolytope) -> tuple[QuasitoricData, list[Frac
     missing = [i + 1 for i in range(p.m) if i not in covered]
     if missing:
         raise InputError(f"redundant facet(s) {missing}: never active at a vertex")
+    facets = tuple(tuple(i + 1 for i in active) for _, active in verts)
+    lam = tuple(tuple(p.normals[i][j] for i in range(p.m)) for j in range(n))
+    q = QuasitoricData(SimplicialComplex(p.m, facets), lam)
+    rep = q.validate()
     bad: list[int] = []
-    for x, active in verts:
-        divisors = smith_normal_form([[p.normals[i][j] for i in active] for j in range(n)])
-        bad.extend(d for d in divisors if d != 1)
+    for f, det in zip(q.complex.facets, rep.dets):
+        if det * det != 1:  # not smooth: the Smith form names the divisors
+            divisors = smith_normal_form([[row[v - 1] for v in f] for row in lam])
+            bad.extend(d for d in divisors if d != 1)
     if bad:
         raise NonSmooth(sorted(bad))
-    facets = tuple(tuple(i + 1 for i in active) for _, active in verts)
-    k = SimplicialComplex(p.m, facets)
-    lam = tuple(tuple(p.normals[i][j] for i in range(p.m)) for j in range(n))
-    q = QuasitoricData(k, lam)
-    rep = q.validate()
     if not rep.valid:
         raise InputError("polytope data fails validation: " + "; ".join(rep.issues))
     u = [-lam_i for lam_i in p.offsets]

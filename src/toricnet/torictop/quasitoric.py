@@ -16,8 +16,9 @@ top-degree class with [M]:
 
 with eps(sigma) = flip * o(sigma) * det Lambda_sigma: o the facet orientation
 (+1 on the lexicographically least facet), det = +-1, and flip = -1 for a
-reversed orientation. The sum is a rational function of degree 0 in t that
-is in fact a constant, so it is evaluated at one integer point t with no
+reversed orientation; o, det and the inverses come from the one validation
+pass of the data. The sum is a rational function of degree 0 in t that is
+in fact a constant, so it is evaluated at one integer point t with no
 weight zero, as integers over one common denominator. Two checks guard it:
 the integral of 1, sum eps(sigma) / prod_j w_{sigma,j}, must be 0 when the
 context is built, and every evaluated value must be an integer. Either
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import lcm, prod
 from operator import mul
 
 from ..errors import InputError, InternalError
 from ..exactcore import ff_determinant, hermite_normal_form
-from .complexes import SimplicialComplex, ValidityReport, orientation_signs, sphere_battery
+from .complexes import SimplicialComplex, ValidityReport, sphere_battery
 
 Monomial = tuple[int, ...]  # exponents, length m
 
@@ -58,7 +60,7 @@ def facet_determinant(lam, facet: tuple[int, ...]) -> int:
 
 
 def validate_quasitoric(k: SimplicialComplex, lam) -> ValidityReport:
-    """Sphere battery plus unimodularity of every facet minor."""
+    """Sphere battery plus unimodularity of every facet minor, kept per facet."""
     rep = ValidityReport()
     n = len(lam)
     rep.checks_run.append("lambda-shape")
@@ -70,8 +72,8 @@ def validate_quasitoric(k: SimplicialComplex, lam) -> ValidityReport:
         return rep
     sphere_battery(k, rep)
     rep.checks_run.append("facet-minors-unimodular")
-    for f in k.facets:
-        det = facet_determinant(lam, f)
+    rep.dets, rep.inverses = zip(*(_inverse_rows(lam, f) for f in k.facets))
+    for f, det in zip(k.facets, rep.dets):
         if det * det != 1:
             rep.fail(f"facet {f}: |det| = {abs(det)}, need 1")
     return rep
@@ -99,6 +101,10 @@ class QuasitoricData:
         return self.complex.facets[0]  # facets are stored sorted
 
     def validate(self) -> ValidityReport:
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidityReport:  # one pass per instance, shared by every caller
         return validate_quasitoric(self.complex, self.lam)
 
 
@@ -133,17 +139,15 @@ class EvalContext:
         if not rep.valid:
             raise InputError("invalid quasitoric data: " + "; ".join(rep.issues))
         self.q = q
-        k = q.complex
-        self.basis = k.facets
-        dets, inverses = zip(*(_inverse_rows(q.lam, f) for f in k.facets))
-        self.t = _generic_point([row for rows in inverses for row in rows])
+        self.basis = q.complex.facets
+        self.t = _generic_point([row for rows in rep.inverses for row in rows])
         # weights[fi][i]: the tangent weight w_{sigma,i}(t) at the i-th vertex of facet fi
-        self.weights = [[sum(map(mul, row, self.t)) for row in rows] for rows in inverses]
+        self.weights = [[sum(map(mul, row, self.t)) for row in rows] for rows in rep.inverses]
         euler = [prod(w) for w in self.weights]
         self.den = lcm(*euler)
-        signs = orientation_signs(k)
         flip = -1 if q.orientation_flip else 1
-        self.scaled = [flip * signs[fi] * dets[fi] * (self.den // e) for fi, e in enumerate(euler)]
+        eps = [flip * rep.orientation[fi] * det for fi, det in enumerate(rep.dets)]
+        self.scaled = [sign * (self.den // e) for sign, e in zip(eps, euler)]
         if sum(self.scaled):
             raise InternalError(
                 f"integral of 1 at t = {self.t} is {Fraction(sum(self.scaled), self.den)}, expected 0"

@@ -432,11 +432,51 @@ BAD_INTEGER_ARGUMENTS = [
     ["crn", "simulate", "A <-> B : 1, 1", "--c0", "1,0", "--t-end", "0.1", "--record-every", "0"],
 ]
 
+# --tol 0 on this complex-balanced bridge used to end in an InternalError on
+# the rounding residual of its solve, and --tol nan turned that check off
+BALANCED = "2A <-> A + B : 2, 3\nA + B <-> 2B : 4, 6"
+NON_FINITE_OR_NON_POSITIVE_ARGUMENTS = [
+    ["crn", "steady", BALANCED, "--tol", tol] for tol in ("0", "-1", "nan", "inf")
+] + [
+    ["crn", "simulate", "A <-> B : 1, 1", "--c0", c0, "--t-end", t_end, "--dt", dt]
+    for c0, t_end, dt in (
+        ("1,0", "nan", "0.01"),
+        ("1,0", "1", "nan"),
+        ("1,0", "1", "inf"),
+        ("nan,0", "1", "0.01"),
+        ("inf,0", "1", "0.01"),
+    )
+]
+
 
 @pytest.mark.parametrize("argv", BAD_INTEGER_ARGUMENTS, ids=" ".join)
 def test_bad_integer_argument_exit_1(run, argv):
     code, out = run(*argv)
     assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_OR_NON_POSITIVE_ARGUMENTS, ids=" ".join)
+def test_non_finite_or_non_positive_number_exit_1(run, argv):
+    code, out = run(*argv)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+def test_infinite_t_end_is_refused():
+    # in a subprocess: an integrator that accepts t_end = inf never ends
+    proc = _python(
+        "-m", "toricnet.cli", "crn", "simulate", "A <-> B : 1, 1",
+        "--c0", "1,0", "--t-end", "inf", "--record-every", "1000000",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, _ = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail("crn simulate --t-end inf did not end")
+    assert proc.returncode == 1
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from toricnet.cli import main
 from toricnet.exactcore import matrices
-from toricnet.torictop import quasitoric
+from toricnet.torictop import complexes, quasitoric
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,21 +89,57 @@ def test_json_output_is_byte_identical(name, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def _count_calls(monkeypatch, functions) -> dict:
+    """Wrap each function in every toricnet namespace that holds it; the
+    returned dict counts the calls by name."""
+    counts = dict.fromkeys((f.__name__ for f in functions), 0)
+    for original in functions:
+
+        def counted(*args, _original=original):
+            counts[_original.__name__] += 1
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toricnet") and vars(module).get(original.__name__) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    return counts
+
+
 def test_cold_polytope_charnum_makes_no_rational_elimination(capsys, monkeypatch):
     """Delzant vertices and smoothness are lattice questions: a cold
     ``toric charnum --polytope`` runs no Fraction Gauss-Jordan elimination."""
-    calls = []
-    original = matrices.rational_rref
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("toricnet") and vars(module).get("rational_rref") is original:
-            monkeypatch.setattr(module, "rational_rref", counted)
+    counts = _count_calls(monkeypatch, [matrices.rational_rref])
     monkeypatch.setattr(quasitoric, "_CONTEXTS", {})
     name = "toric_charnum_cube_cut_normal"
     assert main(argv(name)) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert calls == []
+    assert counts == {"rational_rref": 0}
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["charnum", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 4)),
+        (["delzant", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0)),
+        (["charnum", "--quasitoric", "cp2xcp2_twisted.json"], (1, 1, 1, 9, 0, 2)),
+    ],
+    ids=["charnum-cube_cut", "delzant-cube_cut", "charnum-cp2xcp2_twisted"],
+)
+def test_cold_toric_request_decides_each_facet_once(args, expected, capsys, monkeypatch):
+    """One validation pass per QuasitoricData: the Delzant check and the
+    evaluation context share it, each facet determinant is taken once, a
+    Smith form is left to refusals, and each builder reuses its context."""
+    functions = [
+        quasitoric.validate_quasitoric,
+        complexes.sphere_battery,
+        complexes.orientation_signs,
+        quasitoric.facet_determinant,
+        matrices.smith_normal_form,
+        quasitoric.eval_context,
+    ]
+    counts = _count_calls(monkeypatch, functions)
+    monkeypatch.setattr(quasitoric, "_CONTEXTS", {})
+    *flags, name = args
+    assert main(["toric", *flags, str(GOLDEN / "inputs" / name)]) == 0
+    capsys.readouterr()
+    assert counts == dict(zip((f.__name__ for f in functions), expected))

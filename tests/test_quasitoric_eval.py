@@ -36,7 +36,7 @@ from toricnet.torictop import (
     hamiltonian_numbers,
     mxi_numbers,
 )
-from toricnet.torictop import quasitoric
+from toricnet.torictop import complexes, quasitoric
 
 
 # ---------------------------------------------------------------- data
@@ -432,9 +432,10 @@ def test_inverse_rows_of_random_unimodular_matrices():
 
 
 def test_orientation_check_fires_on_wrong_facet_signs(monkeypatch):
-    signs = quasitoric.orientation_signs
+    # the validation pass finds the orientation in the sphere battery
+    signs = complexes.orientation_signs
     monkeypatch.setattr(
-        quasitoric, "orientation_signs", lambda k: {i: -s if i else s for i, s in signs(k).items()}
+        complexes, "orientation_signs", lambda k: {i: -s if i else s for i, s in signs(k).items()}
     )
     with pytest.raises(InternalError, match="integral of 1 at t = .* expected 0"):
         quasitoric.EvalContext(cpn(2))
