@@ -83,10 +83,15 @@ def _parse_bindings(text: str | None) -> dict | None:
         if "=" not in item:
             raise InputError(f"binding {item!r} is not name=value")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if not name:
+            raise InputError(f"binding {item!r} has an empty name")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational {value!r}") from exc
+        if out.setdefault(name, value) != value:
+            raise InputError(f"rate {name!r} bound twice, to {out[name]} and {value}")
     return out
 
 
@@ -601,9 +606,7 @@ def _cmd_toric_charnum(args) -> int:
     if args.polytope is not None:
         q, u = delzant_to_quasitoric(_load_polytope(args.polytope))
         if args.orientation_flip:
-            from .torictop import QuasitoricData
-
-            q = QuasitoricData(q.complex, q.lam, orientation_flip=True)
+            q = q.flipped()
     else:
         q = _load_quasitoric(args.quasitoric, flip=args.orientation_flip)
     cls = mxi_numbers(q)

@@ -30,33 +30,34 @@ def resolve_rate(rate, net: Network, bindings: dict | None):
     return value
 
 
-def _rate_entry(rate, net: Network, bindings: dict | None, symbolic: bool):
-    if symbolic:
-        if isinstance(rate, str):
-            return SparsePoly.variable(rate)
-        return SparsePoly.const(Fraction(rate))
-    return resolve_rate(rate, net, bindings)
+def symbolic_rates(net: Network, bindings: dict | None) -> bool:
+    """Whether rate-matrix entries are SparsePoly in the rate names: no
+    bindings given, and some rate is a name."""
+    return bindings is None and any(isinstance(r.rate, str) for r in net.reactions)
 
 
 def build_rate_matrix(net: Network, bindings: dict | None = None):
     """n x n rate matrix A with A[k][l] = rate(l -> k), columns summing to zero.
 
-    With bindings (or an all-numeric network) entries are Fractions; without
-    bindings and with symbolic rates present, entries are SparsePoly in the
-    rate names. Parallel edges sum.
+    Entries are SparsePoly in the rate names when ``symbolic_rates``, and
+    Fractions otherwise, each rate resolved once. Parallel edges sum.
     """
-    symbolic = bindings is None and any(isinstance(r.rate, str) for r in net.reactions)
     n = net.n_complexes
-    zero = SparsePoly.zero() if symbolic else Fraction(0)
-    a = [[zero for _ in range(n)] for _ in range(n)]
+    if not symbolic_rates(net, bindings):
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for r in net.reactions:
+            w = resolve_rate(r.rate, net, bindings)
+            a[r.target][r.source] += w
+            a[r.source][r.source] -= w
+        return a
+    # summed as {monomial: coefficient} dicts, each nonzero entry wrapped once
+    cells = [[{} for _ in range(n)] for _ in range(n)]
     for r in net.reactions:
-        a[r.target][r.source] = a[r.target][r.source] + _rate_entry(
-            r.rate, net, bindings, symbolic
-        )
-    for l in range(n):
-        col = [a[k][l] for k in range(n) if k != l]
-        a[l][l] = -(SparsePoly.sum(col) if symbolic else sum(col, zero))
-    return a
+        m, c = (((r.rate, 1),), 1) if isinstance(r.rate, str) else ((), Fraction(r.rate))
+        for cell, sign in ((cells[r.target][r.source], 1), (cells[r.source][r.source], -1)):
+            cell[m] = cell.get(m, 0) + sign * c
+    zero = SparsePoly.zero()
+    return [[SparsePoly._trusted(cell) if cell else zero for cell in row] for row in cells]
 
 
 def _mutual_reach(n: int, arcs) -> list[list[int]]:
@@ -99,7 +100,7 @@ def strong_components(net: Network) -> list[list[int]]:
 
 
 def is_weakly_reversible(net: Network) -> bool:
-    return sorted(linkage_classes(net)) == sorted(strong_components(net))
+    return linkage_classes(net) == strong_components(net)
 
 
 def stoichiometric_matrix(net: Network) -> list[list[Fraction]]:
@@ -158,7 +159,7 @@ def analyze(net: Network) -> NetworkAnalysis:
     return NetworkAnalysis(
         linkage_classes=tuple(map(tuple, linkage)),
         strong_components=tuple(map(tuple, strong)),
-        weakly_reversible=sorted(linkage) == sorted(strong),
+        weakly_reversible=linkage == strong,
         stoich_rank=s_rank,
         deficiency=delta,
         cayley=tuple(map(tuple, cay)),

@@ -7,6 +7,12 @@ test is exact. The Birch point then solves the log-linear system pairing
 complexes within each linkage class, with minimum-norm tie-breaking; all of
 its linear algebra is over the integers, and floats enter only through the
 logarithms of the tree constants.
+
+``birch_point`` decides the structure once, before any rate is resolved:
+one pass each for the linkage classes and the strong components. The
+classes then feed the Cayley matrix, the tree constants and the log-linear
+rows, and one numeric rate matrix feeds both the tree constants and the
+final |A * Psi(c)| check.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from fractions import Fraction
 
 from ..errors import InputError, InternalError, NotComplexBalanced, NotWeaklyReversible
 from ..exactcore import ff_determinant, hermite_normal_form, lattice_kernel, mat_mul, transpose
-from .network import build_rate_matrix, cayley_matrix, is_weakly_reversible, linkage_classes
+from .network import _cayley, build_rate_matrix, linkage_classes, strong_components
 from .parser import Network
-from .trees import tree_constants
+from .trees import class_trees
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,12 @@ def _monomial_text(u: tuple[int, ...]) -> str:
 
 def toric_binomials(net: Network) -> list[ToricBinomial]:
     """One binomial per lattice-kernel basis vector of the Cayley matrix."""
-    kernel = lattice_kernel(cayley_matrix(net))
+    return _binomials(net, linkage_classes(net))
+
+
+def _binomials(net: Network, classes) -> list[ToricBinomial]:
     out = []
-    for u in kernel:
+    for u in lattice_kernel(_cayley(net, classes)):
         u_plus = tuple(max(x, 0) for x in u)
         u_minus = tuple(max(-x, 0) for x in u)
         text = f"{_monomial_text(u_plus)} - {_monomial_text(u_minus)}"
@@ -113,11 +122,12 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
-    if not is_weakly_reversible(net):
+    classes = linkage_classes(net)
+    if classes != strong_components(net):
         raise NotWeaklyReversible("network is not weakly reversible")
-    trees = tree_constants(net, bindings if bindings is not None else {})
-    fracs = [Fraction(k) for k in trees]
-    for binomial in toric_binomials(net):
+    a = build_rate_matrix(net, bindings if bindings is not None else {})
+    fracs = [Fraction(k) for k in class_trees(a, classes, symbolic=False)]
+    for binomial in _binomials(net, classes):
         # prod K^{u+} == prod K^{u-}, denominators cleared to one integer equation
         plus = math.prod(k.numerator ** p * k.denominator ** m
                          for k, p, m in zip(fracs, binomial.u_plus, binomial.u_minus))
@@ -134,7 +144,7 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     logs = [_log(k) for k in fracs]
     rows: list[list[int]] = []
     rhs: list[float] = []
-    for cls in linkage_classes(net):
+    for cls in classes:
         base = cls[0]
         for k in cls[1:]:
             rows.append([a - b for a, b in zip(net.complexes[k], net.complexes[base])])
@@ -155,12 +165,11 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
         )
     c = tuple(math.exp(v) for v in x)
 
-    a_num = build_rate_matrix(net, bindings if bindings is not None else {})
     psi = psi_vector(net, c)
     worst = 0.0
-    for row in a_num:
+    for row in a:
         worst = max(worst, abs(sum(float(e) * p for e, p in zip(row, psi))))
-    kappa_max = max(abs(float(e)) for row in a_num for e in row)
+    kappa_max = max(abs(float(e)) for row in a for e in row)
     # relative to the size of the terms that cancel: Psi(c) can be large
     if worst > 1e-9 * max(1.0, kappa_max) * max(1.0, max(psi)):
         raise InternalError(

@@ -1,51 +1,41 @@
 """Tree constants K_i of each linkage class.
 
 K_i sums, over spanning trees of i's linkage class with every edge oriented
-toward i, the product of edge rates. With numeric rates K_i is a principal
-cofactor of the class block of the rate matrix (the matrix-tree theorem),
-taken by fraction-free elimination at every class size. With symbolic rates
-the arborescences are enumerated by backtracking over parent assignments,
-one monomial per tree; that is capped at classes of ENUMERATION_CAP
-complexes.
+toward i, the product of edge rates. Structure comes before rates: every
+class is checked for strong connectivity (and, with symbolic rates, against
+ENUMERATION_CAP complexes) before any rate is resolved. Then one rate matrix
+is built, and both paths read its class blocks. With numeric rates K_i is a
+principal cofactor of the block (the matrix-tree theorem), taken by
+fraction-free elimination at every class size. With symbolic rates the
+arborescences over the block's off-diagonal entries are enumerated by
+backtracking over parent assignments, one monomial per tree.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import InputError, NotWeaklyReversible
 from ..exactcore import SparsePoly, ff_determinant
-from .network import _rate_entry, linkage_classes, strong_components
+from .network import build_rate_matrix, linkage_classes, strong_components, symbolic_rates
 from .parser import Network
 
 ENUMERATION_CAP = 8
 
 
-def _class_edges(net: Network, cls: list[int], bindings, symbolic: bool) -> dict:
-    """(source, target) -> summed weight, restricted to one linkage class."""
-    member = set(cls)
-    edges: dict = {}
-    for r in net.reactions:
-        if r.source in member:
-            w = _rate_entry(r.rate, net, bindings, symbolic)
-            key = (r.source, r.target)
-            edges[key] = edges[key] + w if key in edges else w
-    return edges
-
-
-def _in_trees(nodes: list[int], edges: dict, root: int) -> SparsePoly:
-    """Sum over the arborescences converging to root of their edge products.
+def _in_trees(block, root: int) -> SparsePoly:
+    """Sum over the arborescences converging to root of their edge products,
+    the edge s -> t weighing block[t][s] in a symbolic class block.
 
     A weight of several terms (parallel reactions, k1 + k2) is split into
     parallel single-term edges first, which by distributivity gives the same
     sum. The walk then carries exponent counts and a coefficient product, so
     each tree costs one monomial and no polynomial product.
     """
-    others = [v for v in nodes if v != root]
-    out_choices = {v: [] for v in others}
-    for (s, t), w in edges.items():
-        if s != root:
-            out_choices[s].extend((t, m, c) for m, c in w.terms.items())
+    nu = len(block)
+    others = [v for v in range(nu) if v != root]
+    out_choices = {
+        s: [(t, m, c) for t in range(nu) if t != s for m, c in block[t][s].terms.items()]
+        for s in others
+    }
     parent: dict = {}
     powers: dict = {}
     out: dict = {}
@@ -104,10 +94,9 @@ def matrix_tree_cofactor(block, root: int, row: int):
 
 def tree_constants(net: Network, bindings: dict | None = None) -> list:
     """K_i for every complex i; SparsePoly when symbolic, a rational otherwise."""
-    symbolic = bindings is None and any(isinstance(r.rate, str) for r in net.reactions)
+    symbolic = symbolic_rates(net, bindings)
     classes = linkage_classes(net)
     strong = {tuple(c) for c in strong_components(net)}
-    out: list = [None] * net.n_complexes
     for cls in classes:
         if tuple(cls) not in strong:
             raise NotWeaklyReversible(
@@ -119,18 +108,16 @@ def tree_constants(net: Network, bindings: dict | None = None) -> list:
                 f"class of {len(cls)} complexes: symbolic tree constants "
                 f"are capped at {ENUMERATION_CAP}, pass numeric bindings"
             )
-        edges = _class_edges(net, cls, bindings, symbolic)
-        if symbolic:
-            for root in cls:
-                out[root] = _in_trees(cls, edges, root)
-            continue
-        # the class block of the rate matrix: A[t][s] = rate(s -> t), and
-        # each column sums to zero
-        pos = {v: i for i, v in enumerate(cls)}
-        block = [[Fraction(0)] * len(cls) for _ in cls]
-        for (s, t), w in edges.items():
-            block[pos[t]][pos[s]] = w
-            block[pos[s]][pos[s]] -= w
+    return class_trees(build_rate_matrix(net, bindings), classes, symbolic)
+
+
+def class_trees(a, classes, symbolic: bool) -> list:
+    """K_i for every complex i from the rate matrix ``a`` and its strongly
+    connected ``classes``: enumerated arborescences when ``symbolic``, the
+    principal cofactors of each class block otherwise."""
+    out: list = [None] * len(a)
+    for cls in classes:
+        block = [[a[t][s] for s in cls] for t in cls]
         for i, root in enumerate(cls):
-            out[root] = matrix_tree_cofactor(block, i, i)
+            out[root] = _in_trees(block, i) if symbolic else matrix_tree_cofactor(block, i, i)
     return out

@@ -20,7 +20,6 @@ from .matrices import (
     mat_mul,
     rank,
     rational_rref,
-    right_kernel_rational,
     smith_normal_form,
     solve_rational,
     transpose,
@@ -38,7 +37,6 @@ __all__ = [
     "lattice_kernel",
     "smith_normal_form",
     "rational_rref",
-    "right_kernel_rational",
     "solve_rational",
     "rank",
     "mat_mul",

@@ -262,23 +262,6 @@ def rational_rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return R, pivots
 
 
-def right_kernel_rational(a: Matrix) -> list[list[Fraction]]:
-    """Basis of {v in Q^n : A v = 0} from the RREF free columns."""
-    m, n = dims(a)
-    if m == 0:
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    R, pivots = rational_rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        basis.append(v)
-    return basis
-
-
 def solve_rational(a: Matrix, b: list) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if inconsistent."""
     m, n = dims(a)

@@ -22,6 +22,8 @@ class SimplicialComplex:
     def __post_init__(self):
         cleaned = tuple(sorted(tuple(sorted(set(f))) for f in self.facets))
         object.__setattr__(self, "facets", cleaned)
+        if not cleaned:
+            raise InputError("a simplicial complex needs at least one facet")
         for f in cleaned:
             if not f:
                 raise InputError("empty facet")

@@ -27,7 +27,7 @@ failing raises InternalError with the residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -102,6 +102,13 @@ class QuasitoricData:
 
     def validate(self) -> ValidityReport:
         return self._report
+
+    def flipped(self) -> QuasitoricData:
+        """The same data with the reversed orientation, sharing the validation
+        report, which does not depend on the orientation."""
+        out = replace(self, orientation_flip=not self.orientation_flip)
+        vars(out)["_report"] = self._report
+        return out
 
     @cached_property
     def _report(self) -> ValidityReport:  # one pass per instance, shared by every caller

@@ -162,6 +162,46 @@ class TestCrn:
         assert err["kind"] == "DeficiencyNonzero"
         assert err["deficiency"] == 1
 
+    def test_trees_structure_before_rates(self, run):
+        # two faults: {C, D} is not strongly connected and k2 is unbound; the
+        # structure is checked for every class before any rate is resolved
+        code, out = run(
+            "crn", "trees", "A <-> B : k1, k2\nC -> D : k3", "--bindings", "k1=1,k3=1"
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "detail": "linkage class {C, D} is not strongly connected",
+            "kind": "NotWeaklyReversible",
+        }
+        # with the structure mended the rate fault is the one reported
+        code, out = run(
+            "crn", "trees", "A <-> B : k1, k2\nC <-> D : k3, k4", "--bindings", "k1=1,k3=1,k4=1"
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "detail": "unbound rate symbol 'k2'", "kind": "InputError"
+        }
+
+    @pytest.mark.parametrize(
+        "bindings, detail",
+        [
+            ("k1=1,=4", "binding '=4' has an empty name"),
+            ("k1=1,k2=3,k1=2", "rate 'k1' bound twice, to 1 and 2"),
+        ],
+    )
+    def test_bad_bindings_exit_1(self, run, bindings, detail):
+        code, out = run("crn", "trees", "A <-> B : k1, k2", "--bindings", bindings)
+        assert code == 1
+        assert json.loads(out)["error"] == {"detail": detail, "kind": "InputError"}
+
+    def test_repeated_equal_binding_and_inline_override(self, run):
+        # the same value twice is one binding; a CLI binding beats an inline one
+        code, out = run(
+            "crn", "trees", "A <-> B : k1 = 5, k2", "--bindings", "k1=2,k2=3,k1=4/2"
+        )
+        assert code == 0
+        assert out == "K[1] (A) = 3\nK[2] (B) = 2\n"
+
     def test_missing_file_exit_1(self, run):
         code, out = run("crn", "analyze", "/nonexistent/net.rxn")
         assert code == 1
@@ -354,6 +394,16 @@ class TestToric:
         err = json.loads(out)["error"]
         assert err["kind"] == "InputError"
         assert err["detail"].startswith(f"{field} entries must be integers")
+
+    @pytest.mark.parametrize("command", ["validate", "charnum"])
+    def test_empty_facet_list_exit_1(self, run, tmp_path, command):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"facets": [], "lambda": [[1]]}))
+        code, out = run("toric", command, "--quasitoric", str(p))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "detail": "a simplicial complex needs at least one facet", "kind": "InputError"
+        }
 
     def test_float_offset_read_through_its_decimal_text(self, run, tmp_path):
         p = tmp_path / "floats.json"

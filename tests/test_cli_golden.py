@@ -72,6 +72,9 @@ CASES = {
     "toric_charnum_cube_cut_normal": [
         "toric", "charnum", "--polytope", "@cube_cut.json", "--bundle", "normal"
     ],
+    "toric_charnum_cube_cut_flip": [
+        "toric", "charnum", "--polytope", "@cube_cut.json", "--orientation-flip"
+    ],
     "toric_delzant": ["toric", "delzant", "--polytope", "@simplex2.json"],
 }
 
@@ -117,18 +120,24 @@ def test_cold_polytope_charnum_makes_no_rational_elimination(capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "args, expected",
+    "args, expected, golden",
     [
-        (["charnum", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 4)),
-        (["delzant", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0)),
-        (["charnum", "--quasitoric", "cp2xcp2_twisted.json"], (1, 1, 1, 9, 0, 2)),
+        (["charnum", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 4), None),
+        (["delzant", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0), None),
+        (["charnum", "--quasitoric", "cp2xcp2_twisted.json"], (1, 1, 1, 9, 0, 2), None),
+        (
+            ["charnum", "--orientation-flip", "--format", "json", "--polytope", "cube_cut.json"],
+            (1, 1, 1, 10, 0, 4),
+            "toric_charnum_cube_cut_flip",
+        ),
     ],
-    ids=["charnum-cube_cut", "delzant-cube_cut", "charnum-cp2xcp2_twisted"],
+    ids=["charnum-cube_cut", "delzant-cube_cut", "charnum-cp2xcp2_twisted", "charnum-cube_cut-flip"],
 )
-def test_cold_toric_request_decides_each_facet_once(args, expected, capsys, monkeypatch):
+def test_cold_toric_request_decides_each_facet_once(args, expected, golden, capsys, monkeypatch):
     """One validation pass per QuasitoricData: the Delzant check and the
-    evaluation context share it, each facet determinant is taken once, a
-    Smith form is left to refusals, and each builder reuses its context."""
+    evaluation context share it, so does the orientation-flipped copy of
+    Delzant data, each facet determinant is taken once, a Smith form is left
+    to refusals, and each builder reuses its context."""
     functions = [
         quasitoric.validate_quasitoric,
         complexes.sphere_battery,
@@ -141,5 +150,7 @@ def test_cold_toric_request_decides_each_facet_once(args, expected, capsys, monk
     monkeypatch.setattr(quasitoric, "_CONTEXTS", {})
     *flags, name = args
     assert main(["toric", *flags, str(GOLDEN / "inputs" / name)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    if golden is not None:
+        assert out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
     assert counts == dict(zip((f.__name__ for f in functions), expected))

@@ -426,6 +426,26 @@ class TestToric:
         with pytest.raises(NotComplexBalanced):
             birch_point(net)
 
+    def test_birch_decides_structure_once(self, monkeypatch):
+        """One balanced birch_point: one graph pass each for the linkage
+        classes and the strong components, and one rate matrix, so each
+        reaction's rate is resolved once."""
+        from toricnet.crn import network
+
+        calls = {"_mutual_reach": 0, "resolve_rate": 0}
+        for name in calls:
+            original = getattr(network, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(network, name, counted)
+        net = parse_network("A + B <-> C : k1, k2\nC <-> 2A : k3, k4\n2A <-> A + B : k5, k6")
+        st = birch_point(net, {"k1": 2, "k2": 3, "k3": 5, "k4": 7, "k5": 11, "k6": 13})
+        assert st.residual < 1e-9
+        assert calls == {"_mutual_reach": 2, "resolve_rate": len(net.reactions)}
+
     # deficiency one, binomial K1*K3 - K2^2: (k2 k4) (k1 k3) == (k1 k4)^2, so
     # with k1 = k2 = k3 = 1 the rates balance exactly when k4 == 1
     DEFICIENCY_ONE = "0 <-> A : k1, k2\nA <-> 2A : k3, k4"

@@ -20,7 +20,6 @@ from toricnet.exactcore import (
     mat_mul,
     rank,
     rational_rref,
-    right_kernel_rational,
     smith_normal_form,
     solve_rational,
     transpose,
@@ -108,7 +107,7 @@ class TestMatrices:
         assert rank(a) == 2
         assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
         assert rank([]) == 0
-        basis = right_kernel_rational(a)
+        basis = lattice_kernel(a)
         assert len(basis) == 1
         for v in basis:
             for row in a:
@@ -142,10 +141,14 @@ class TestMatrices:
         )
     )
     def test_kernel_property(self, rows):
-        for v in right_kernel_rational(rows):
+        kernel = lattice_kernel(rows)
+        for v in kernel:
             for row in rows:
-                assert sum(Fraction(r) * c for r, c in zip(row, v)) == 0
-        assert rank(rows) + len(right_kernel_rational(rows)) == 4
+                assert sum(r * c for r, c in zip(row, v)) == 0
+        # the rank and the kernel dimension against a Fraction elimination
+        pivots = rational_rref(rows)[1]
+        assert rank(rows) == len(pivots)
+        assert len(pivots) + len(kernel) == 4
 
     def test_transpose(self):
         assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
