@@ -387,6 +387,8 @@ def _hopf_checks(algebra: str, max_weight: int) -> list:
 
 
 def _cmd_hopf_verify(args) -> int:
+    if args.max_weight < 1:
+        raise InputError(f"max weight must be >= 1, got {args.max_weight}")
     checks = _hopf_checks(args.algebra, args.max_weight)
     payload = {"algebra": args.algebra, "checks": [{"name": n, "ok": ok} for n, ok in checks]}
     lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
@@ -527,12 +529,12 @@ def _mxi_json(cls) -> dict:
 
 
 def _int_rows(data: dict, field: str) -> tuple:
-    """``data[field]`` as rows of ints; a bool or a number with a fractional
-    part is refused, not truncated."""
+    """``data[field]`` as rows of ints; a bool, a string or a number with a
+    fractional part is refused, not truncated or parsed."""
     rows = data[field]
     for row in rows:
         for v in row:
-            if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+            if not (type(v) is int or type(v) is float and v.is_integer()):
                 raise InputError(f"{field} entries must be integers, got {json.dumps(v)}")
     return tuple(tuple(int(v) for v in row) for row in rows)
 

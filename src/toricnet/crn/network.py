@@ -103,12 +103,12 @@ def is_weakly_reversible(net: Network) -> bool:
     return linkage_classes(net) == strong_components(net)
 
 
-def stoichiometric_matrix(net: Network) -> list[list[Fraction]]:
-    """s x r matrix, one column Y_target - Y_source per reaction."""
+def stoichiometric_matrix(net: Network) -> list[list[int]]:
+    """s x r integer matrix, one column Y_target - Y_source per reaction."""
     cols = []
     for r in net.reactions:
         src, tgt = net.complexes[r.source], net.complexes[r.target]
-        cols.append([Fraction(t - s) for s, t in zip(src, tgt)])
+        cols.append([t - s for s, t in zip(src, tgt)])
     return [[cols[j][i] for j in range(len(cols))] for i in range(net.n_species)]
 
 
@@ -151,7 +151,7 @@ def analyze(net: Network) -> NetworkAnalysis:
     cay = _cayley(net, linkage)
     n = net.n_complexes
     delta = n - len(linkage) - s_rank
-    delta_rank = n - rank([[Fraction(x) for x in row] for row in cay])
+    delta_rank = n - rank(cay)
     if delta != delta_rank:
         raise InternalError(
             f"deficiency formulas disagree: n-l-s'={delta}, n-rank(Cayley)={delta_rank}"

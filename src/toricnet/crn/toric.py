@@ -126,13 +126,13 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     if classes != strong_components(net):
         raise NotWeaklyReversible("network is not weakly reversible")
     a = build_rate_matrix(net, bindings if bindings is not None else {})
-    fracs = [Fraction(k) for k in class_trees(a, classes, symbolic=False)]
+    constants = class_trees(a, classes, symbolic=False)
     for binomial in _binomials(net, classes):
         # prod K^{u+} == prod K^{u-}, denominators cleared to one integer equation
         plus = math.prod(k.numerator ** p * k.denominator ** m
-                         for k, p, m in zip(fracs, binomial.u_plus, binomial.u_minus))
+                         for k, p, m in zip(constants, binomial.u_plus, binomial.u_minus))
         minus = math.prod(k.numerator ** m * k.denominator ** p
-                          for k, p, m in zip(fracs, binomial.u_plus, binomial.u_minus))
+                          for k, p, m in zip(constants, binomial.u_plus, binomial.u_minus))
         if plus != minus:
             residual = abs(_log_ratio(Fraction(plus, minus)))
             raise NotComplexBalanced(
@@ -141,7 +141,7 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
                 residual=residual,
             )
 
-    logs = [_log(k) for k in fracs]
+    logs = [_log(k) for k in constants]
     rows: list[list[int]] = []
     rhs: list[float] = []
     for cls in classes:

@@ -12,6 +12,7 @@ coefficient with denominator 1 as an ``int`` and any other as a ``Fraction``
 from fractions import Fraction as Rational
 
 from .matrices import (
+    clear_denominators,
     ff_determinant,
     hermite_normal_form,
     identity,
@@ -32,6 +33,7 @@ __all__ = [
     "SparsePoly",
     "TruncSeries",
     "QRing",
+    "clear_denominators",
     "ff_determinant",
     "hermite_normal_form",
     "lattice_kernel",

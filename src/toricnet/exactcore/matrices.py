@@ -1,8 +1,10 @@
 """Exact linear algebra over Z and Q.
 
-Everything here is deterministic and exact: integer matrices go through
-fraction-free or unimodular algorithms, rational matrices through Fraction
-Gaussian elimination. No floats anywhere.
+Every elimination runs on integers: a rational matrix is cleared row by row
+(``clear_denominators``), determinants go through fraction-free Bareiss, and
+ranks, kernels and Smith forms through the Hermite normal form. The Fraction
+Gauss-Jordan ``rational_rref``, ``solve_rational`` and ``inverse_rational``
+remain only for the public API and the benchmark tracer. No floats anywhere.
 
 Matrices are plain lists of row lists; functions never mutate their inputs.
 """
@@ -49,11 +51,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def ff_determinant(a: Matrix):
-    """Exact determinant.
+    """Exact determinant: an int when integral, otherwise a Fraction.
 
-    Integer/Fraction matrices use the fraction-free Bareiss scheme; matrices
-    with polynomial entries use cofactor expansion memoized over column
-    subsets (supported up to size 6, which the callers respect).
+    Ints and Fractions are cleared to integers for one Bareiss elimination,
+    the product of the row scales divided out at the end; polynomial entries
+    use cofactor expansion memoized over column subsets (supported up to
+    size 6, which the callers respect).
     """
     m, n = dims(a)
     if m != n:
@@ -62,29 +65,32 @@ def ff_determinant(a: Matrix):
         return 1
     if any(isinstance(x, SparsePoly) for row in a for x in row):
         return _det_cofactor(a)
-    return _det_bareiss(a)
+    rows, scale = clear_denominators(a)
+    det = _det_bareiss(rows)
+    q, r = divmod(det, scale)
+    return q if r == 0 else Fraction(det, scale)
 
 
-def _det_bareiss(a: Matrix):
-    n = len(a)
-    exact_int = all(isinstance(x, int) for row in a for x in row)
-    M = [[x if exact_int else Fraction(x) for x in row] for row in a]
+def _det_bareiss(M: Matrix) -> int:
+    """Determinant of a square integer matrix; eliminates in place."""
+    n = len(M)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if M[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
             if pivot is None:
-                return 0 if exact_int else Fraction(0)
+                return 0
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = M[k]
+        p = top[k]
+        for row in M[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
                 # Bareiss guarantees exact divisibility by the previous pivot
-                M[i][j] = num // prev if exact_int else num / prev
-            M[i][k] = 0
-        prev = M[k][k]
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
     return sign * M[n - 1][n - 1]
 
 
@@ -179,19 +185,29 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     return H, U
 
 
-def _integer_rows(a: Matrix) -> Matrix:
-    """Each row of a rational matrix times the lcm of its denominators: the
-    row spaces, and so the kernel and the rank, do not change."""
+def clear_denominators(a: Matrix) -> tuple[Matrix, int]:
+    """Each row times the lcm of its denominators, and the product of those
+    scales: the rank and the kernel are kept, and the determinant is
+    multiplied by the product. A float or other non-rational entry raises
+    TypeError."""
     cleared = []
+    product = 1
     for row in a:
-        scale = lcm(*(x.denominator for x in row))
-        cleared.append([int(x * scale) for x in row])
-    return cleared
+        if all(type(x) is int for x in row):  # the common case makes no Fraction
+            cleared.append(list(row))
+            continue
+        try:
+            scale = lcm(*(x.denominator for x in row))
+        except AttributeError:
+            raise TypeError(f"expected int or Fraction entries, got {row!r}") from None
+        cleared.append([x.numerator * (scale // x.denominator) for x in row])
+        product *= scale
+    return cleared, product
 
 
 def rank(a: Matrix) -> int:
     """Rank over Q: the number of nonzero rows of the Hermite normal form."""
-    return sum(1 for row in hermite_normal_form(_integer_rows(a))[0] if any(row))
+    return sum(1 for row in hermite_normal_form(clear_denominators(a)[0])[0] if any(row))
 
 
 def lattice_kernel(a: Matrix) -> list[list[int]]:
@@ -203,7 +219,7 @@ def lattice_kernel(a: Matrix) -> list[list[int]]:
     scaling does not change the kernel).
     """
     m, n = dims(a)
-    B = transpose(_integer_rows(a))  # n x m; rows indexed by kernel coordinates
+    B = transpose(clear_denominators(a)[0])  # n x m; rows indexed by kernel coordinates
     H, U = hermite_normal_form(B)
     kernel_rows = [U[i] for i in range(n) if all(x == 0 for x in H[i])]
     if not kernel_rows:
@@ -265,7 +281,7 @@ def rational_rref(a: Matrix) -> tuple[Matrix, list[int]]:
 def solve_rational(a: Matrix, b: list) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if inconsistent."""
     m, n = dims(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    aug = [[*row, b[i]] for i, row in enumerate(a)]
     R, pivots = rational_rref(aug)
     if n in pivots:
         return None
@@ -280,7 +296,7 @@ def inverse_rational(a: Matrix) -> Matrix | None:
     m, n = dims(a)
     if m != n:
         raise ValueError("inverse of a non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
+    aug = [[*row, *e] for row, e in zip(a, identity(n))]
     R, pivots = rational_rref(aug)
     if pivots[:n] != list(range(n)):
         return None

@@ -14,13 +14,28 @@ from itertools import combinations
 from ..errors import InputError
 
 
+def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ints; an entry with a fractional part is refused
+    with InputError, not truncated."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        ints = tuple(int(x) for x in row)
+        if ints != row:
+            bad = next(x for x, i in zip(row, ints) if x != i)
+            raise InputError(f"{name} entries must be integers, got {bad!r}")
+        out.append(ints)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     m: int  # vertices are 1..m
     facets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        cleaned = tuple(sorted(tuple(sorted(set(f))) for f in self.facets))
+        facets = integer_rows(self.facets, "facet")
+        cleaned = tuple(sorted(tuple(sorted(set(f))) for f in facets))
         object.__setattr__(self, "facets", cleaned)
         if not cleaned:
             raise InputError("a simplicial complex needs at least one facet")

@@ -3,8 +3,8 @@
 Boundedness and vertices are lattice questions, answered by integer
 kernels of row subsets: a recession ray is the one-line kernel of n-1
 normals with every normal on one side of it, and a vertex is the one-line
-kernel (X, w), w != 0, of n rows (a_i, -L*lambda_i), L the lcm of the offset
-denominators, with every row on its inner side. The polytope must be
+kernel (X, w), w != 0, of n rows (a_i, -lambda_i) cleared to integers, with
+every row on its inner side, and x = X / w. The polytope must be
 bounded and simple. The dual boundary complex plus the normals-as-columns
 matrix is the quasitoric data; it is smooth when each facet minor (a
 vertex's normals) has |det| = 1 in the data's validation pass, and the
@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from ..errors import InputError, NonSmooth
-from ..exactcore import lattice_kernel, smith_normal_form
-from .complexes import SimplicialComplex
-from .quasitoric import QuasitoricData, integer_rows
+from ..exactcore import clear_denominators, lattice_kernel, smith_normal_form
+from .complexes import SimplicialComplex, integer_rows
+from .quasitoric import QuasitoricData
 
 MAX_FACETS = 12
 
@@ -79,22 +79,19 @@ def polytope_vertices(p: DelzantPolytope) -> list[tuple]:
     if p.m > MAX_FACETS:
         raise InputError(f"facet count {p.m} exceeds the enumeration cap {MAX_FACETS}")
     n = p.dim
-    scale = lcm(*(lam.denominator for lam in p.offsets))
-    rows = [
-        (*a, -lam.numerator * (scale // lam.denominator)) for a, lam in zip(p.normals, p.offsets)
-    ]
+    rows, _ = clear_denominators([(*a, -lam) for a, lam in zip(p.normals, p.offsets)])
     found: dict = {}
     for subset in combinations(rows, n):
-        # n independent facets meet in x = X / (scale * w): the kernel (X, w)
+        # n independent facets meet in x = X / w: the kernel (X, w)
         kernel = lattice_kernel(subset)
         if len(kernel) != 1 or kernel[0][n] == 0:
             continue
         v = kernel[0] if kernel[0][n] > 0 else [-c for c in kernel[0]]
-        # row . (X, w) = scale * w * (<a_i, x> - lambda_i), so >= 0 on the inner side
+        # row_i . (X, w) = s_i * w * (<a_i, x> - lambda_i), s_i > 0, so >= 0 on the inner side
         values = [sum(r * c for r, c in zip(row, v)) for row in rows]
         if any(value < 0 for value in values):
             continue
-        x = tuple(Fraction(c, scale * v[n]) for c in v[:n])
+        x = tuple(Fraction(c, v[n]) for c in v[:n])
         found[x] = tuple(i for i, value in enumerate(values) if value == 0)
     return sorted(found.items())
 

@@ -36,23 +36,9 @@ from operator import mul
 
 from ..errors import InputError, InternalError
 from ..exactcore import ff_determinant, hermite_normal_form
-from .complexes import SimplicialComplex, ValidityReport, sphere_battery
+from .complexes import SimplicialComplex, ValidityReport, integer_rows, sphere_battery
 
 Monomial = tuple[int, ...]  # exponents, length m
-
-
-def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as tuples of ints; an entry with a fractional part is refused
-    with InputError, not truncated."""
-    out = []
-    for row in rows:
-        row = tuple(row)
-        ints = tuple(int(x) for x in row)
-        if ints != row:
-            bad = next(x for x, i in zip(row, ints) if x != i)
-            raise InputError(f"{name} entries must be integers, got {bad!r}")
-        out.append(ints)
-    return tuple(out)
 
 
 def facet_determinant(lam, facet: tuple[int, ...]) -> int:

@@ -383,6 +383,9 @@ class TestToric:
             ("validate", "lambda", {"facets": CP2_FACETS, "lambda": [[1, 0, -1.9], [0, 1, -1]]}),
             ("validate", "facets", {"facets": [[1, 2], [1, 3], [2, 2.5]], "lambda": CP2_LAMBDA}),
             ("validate", "facets", {"facets": [[True, 2], [1, 3], [2, 3]], "lambda": CP2_LAMBDA}),
+            ("delzant", "normals", {"normals": [["1", 0], [0, 1], [-1, -1]], "offsets": [0, 0, -4]}),
+            ("validate", "lambda", {"facets": CP2_FACETS, "lambda": [["1", "0", "-1"], [0, 1, -1]]}),
+            ("validate", "facets", {"facets": [[1, 2], ["2", 3], [1, 3]], "lambda": CP2_LAMBDA}),
         ],
     )
     def test_non_integer_json_entries_exit_1(self, run, tmp_path, command, field, data):
@@ -480,6 +483,8 @@ BAD_INTEGER_ARGUMENTS = [
     ["sym", "convert", "--element", "e:0", "--to", "h"],
     ["sym", "convert", "--element", "e:1,2", "--to", "h"],
     ["crn", "simulate", "A <-> B : 1, 1", "--c0", "1,0", "--t-end", "0.1", "--record-every", "0"],
+    ["hopf", "verify", "--algebra", "bfk", "--max-weight", "0"],
+    ["hopf", "verify", "--algebra", "ln", "--max-weight", "-2"],
 ]
 
 # --tol 0 on this complex-balanced bridge used to end in an InternalError on

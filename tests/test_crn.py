@@ -201,6 +201,8 @@ class TestTrees:
     def test_triangle_numeric(self):
         net = parse_network("A -> B : 2\nB -> C : 3\nC -> A : 5")
         assert tree_constants(net) == [15, 10, 6]
+        # integral cofactors of the Fraction rate matrix come back as ints
+        assert {type(k) for k in tree_constants(net)} == {int}
 
     def test_cofactor_row_choice_immaterial(self):
         net = parse_network("A -> B : k1\nB -> C : k2\nC -> A : k3")
@@ -540,3 +542,4 @@ class TestSimulate:
     def test_stoichiometric_matrix(self):
         s = stoichiometric_matrix(parse_network("A -> B : 1"))
         assert s == [[-1], [1]]
+        assert {type(x) for row in s for x in row} == {int}

@@ -584,3 +584,85 @@ def test_lattice_kernel_is_the_saturated_integer_kernel():
             # Z^n / span(basis) is torsion-free iff every elementary divisor is 1
             d = sympy_snf(sympy.Matrix(basis), domain=ZZ)
             assert [abs(x) for x in d.diagonal()] == [1] * len(basis), a
+
+
+# ---------------------------------------------------------------- rational elimination against sympy
+
+
+def _rational_cases(count=210):
+    """Seeded square matrices of 0x0 to 6x6. Each row is all ints in [-4, 4]
+    or all Fractions p/q with p in [-9, 9] and q in 1..6. Every third matrix
+    of size >= 1 is singular: a row is zero (always for 1x1) or a rational
+    combination of two other rows."""
+    rng = random.Random(19)
+    cases = []
+    for i in range(count):
+        n = i % 7
+        a = [
+            [rng.randint(-4, 4) for _ in range(n)]
+            if rng.random() < 0.5
+            else [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n and i % 3 == 0:
+            r = rng.randrange(n)
+            if n == 1 or rng.random() < 0.3:
+                a[r] = [0] * n
+            else:
+                j, k = rng.sample([s for s in range(n) if s != r] * 2, 2)
+                c, d = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+                a[r] = [c * x + d * y for x, y in zip(a[j], a[k])]
+        cases.append(a)
+    return cases
+
+
+RATIONAL_CASES = _rational_cases()
+
+
+def _sympy_matrix(a):
+    n = len(a)
+    return sympy.Matrix(n, len(a[0]) if a else 0,
+                        [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+
+
+def test_rational_cases_cover_sizes_row_kinds_and_singular_matrices():
+    assert {len(a) for a in RATIONAL_CASES} == set(range(7))
+    rows = [row for a in RATIONAL_CASES for row in a]
+    assert any(all(type(x) is int for x in row) for row in rows)
+    assert any(all(type(x) is Fraction for x in row) for row in rows)
+    assert any(not any(row) for row in rows)
+    singular = [a for a in RATIONAL_CASES if _sympy_matrix(a).det() == 0]
+    assert len(RATIONAL_CASES) // 4 <= len(singular) <= len(RATIONAL_CASES) // 2
+
+
+def test_rational_determinant_matches_sympy():
+    for a in RATIONAL_CASES:
+        want = _sympy_matrix(a).det()
+        got = ff_determinant(a)
+        assert got == Fraction(int(want.p), int(want.q)), a
+        assert type(got) is (int if want.q == 1 else Fraction), a
+
+
+def test_rational_rank_matches_sympy():
+    for a in RATIONAL_CASES:
+        assert rank(a) == _sympy_matrix(a).rank(), a
+
+
+def test_rational_lattice_kernel_spans_sympy_nullspace():
+    for a in RATIONAL_CASES:
+        matrix = _sympy_matrix(a)
+        null = matrix.nullspace()
+        basis = lattice_kernel(a)
+        assert len(basis) == len(null), a
+        for u in basis:
+            assert not any(matrix * sympy.Matrix(u)), a
+            assert sympy.Matrix.hstack(*null, sympy.Matrix(u)).rank() == len(null), a
+
+
+@pytest.mark.parametrize("eliminate", [ff_determinant, rank, lattice_kernel])
+@pytest.mark.parametrize(
+    "a", [[[0.1]], [[1.5, 1], [0, 1]], [[Fraction(1, 2), 1], [2, 3.0]]], ids=["0.1", "1.5", "3.0"]
+)
+def test_float_matrix_entries_raise(eliminate, a):
+    with pytest.raises(TypeError):
+        eliminate(a)

@@ -118,6 +118,14 @@ class TestValidation:
         integral = QuasitoricData(cp2.complex, ((F(1), 0, -1.0), (0, 1, -1)))
         assert integral.lam == cp2.lam
 
+    def test_non_integral_vertex_refused(self):
+        with pytest.raises(InputError, match="facet entries must be integers, got 1.5"):
+            QuasitoricData(
+                SimplicialComplex(3, ((1.5, 2), (2, 3), (1, 3))), ((1, 0, -1), (0, 1, -1))
+            ).validate()
+        integral = SimplicialComplex(3, ((F(1), 2.0), (2, 3), (1, 3)))
+        assert integral.facets == boundary_simplex(2).facets
+
     def test_facet_determinant(self):
         assert facet_determinant(((1, 0, -1), (0, 1, -1)), (1, 2)) == 1
         assert facet_determinant(((1, 0, -2), (0, 1, -1)), (2, 3)) == 2
