@@ -354,36 +354,10 @@ def _cmd_hopf_antipode(args) -> int:
 
 
 def _hopf_checks(algebra: str, max_weight: int) -> list:
-    checks = []
-    if algebra == "bfk":
-        from .ncsf import NCF
-        from .hopfdiff import bfk_coassociativity_gap, bfk_convolution, bfk_counit
+    from .hopfdiff import bfk_generator_checks, ln_generator_checks
 
-        for n in range(1, max_weight + 1):
-            gen = NCF.gen(n)
-            gap = bfk_coassociativity_gap(gen)
-            checks.append((f"coassociativity Z[{n}]", all(c == 0 for c in gap.values())))
-            for left in (True, False):
-                conv = bfk_convolution(gen, left_antipode=left)
-                side = "left" if left else "right"
-                checks.append((f"antipode {side} Z[{n}]", conv == NCF.zero()))
-            checks.append((f"counit Z[{n}]", bfk_counit(gen) == 0))
-    else:
-        from .exactcore import SparsePoly
-        from .hopfdiff import ln_coassociativity_gap, ln_convolution, ln_counit
-
-        for n in range(1, max_weight + 1):
-            gap = ln_coassociativity_gap(n)
-            checks.append((f"coassociativity t{n}", gap.is_constant() and gap.constant_value() == 0))
-            gen = SparsePoly.variable(f"t{n}")
-            for left in (True, False):
-                conv = ln_convolution(gen, left_antipode=left)
-                side = "left" if left else "right"
-                checks.append(
-                    (f"antipode {side} t{n}", conv.is_constant() and conv.constant_value() == 0)
-                )
-            checks.append((f"counit t{n}", ln_counit(gen) == 0))
-    return checks
+    generator_checks = bfk_generator_checks if algebra == "bfk" else ln_generator_checks
+    return [check for n in range(1, max_weight + 1) for check in generator_checks(n)]
 
 
 def _cmd_hopf_verify(args) -> int:

@@ -254,10 +254,17 @@ def smith_normal_form(a: Matrix) -> list[int]:
 # rational elimination
 
 
+def _fraction(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction entries, got {x!r}")
+    return Fraction(x)
+
+
 def rational_rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Q. Returns (R, pivot_columns)."""
+    """Reduced row echelon form over Q. Returns (R, pivot_columns). A float
+    or other non-rational entry raises TypeError."""
     m, n = dims(a)
-    R = [[Fraction(x) for x in row] for row in a]
+    R = [[_fraction(x) for x in row] for row in a]
     pivots = []
     r = 0
     for c in range(n):

@@ -236,23 +236,42 @@ class TruncSeries:
         return TruncSeries(self.ring, n, nv, _collect(self.ring, terms()))
 
     def comp_inverse(self) -> "TruncSeries":
-        """Compositional inverse g with self(g(T)) = T (degree by degree).
+        """Compositional inverse g with self(g(T)) = T, in one pass over degrees.
 
-        Requires a 1-variable series T + (higher order). The result is also a
-        two-sided inverse; tests verify g(self(T)) = T.
+        Requires a 1-variable series f = T + f_2 T^2 + .... The pass keeps a
+        table of powers p[j][k] = [T^k] g^j. At degree k it first extends
+        each power by p[j][k] = sum_i p[j-1][i] * g_{k-i}, which needs only
+        g_1 .. g_{k-1}, then reads g_k = -sum_{j>=2} f_j * p[j][k] off the
+        degree-k coefficient of f(g). Products keep the order of
+        compose_many (f_j on the left, g^j = g^{j-1} * g), so each power
+        coefficient is computed once, O(N^3) ring products in all. The
+        result is also a two-sided inverse; tests verify g(self(T)) = T.
         """
         if self.nvars != 1:
             raise ValueError("compositional inverse needs a 1-variable series")
-        one = self.ring.one()
+        ring = self.ring
+        one = ring.one()
         if self.coeff(0) or self.coeff(1) != one:
             raise ValueError("compositional inverse needs the form T + O(T^2)")
-        g = {(1,): one}
+        f = {k: c for (k,), c in self.coeffs.items()}
+        top = max(f)  # the largest power of g that f uses
+        g = {1: one}
+        # powers[j] holds the nonzero [T^k] g^j by k; powers[1] is g itself
+        powers = [None, g] + [{} for _ in range(2, top + 1)]
         for k in range(2, self.order + 1):
-            partial = TruncSeries(self.ring, k, 1, g)
-            val = self.truncate(k).compose(partial).coeff(k)
+            for j in range(2, min(k, top) + 1):
+                prev = powers[j - 1]
+                c = ring.sum(
+                    prev[i] * g[k - i] for i in range(j - 1, k) if i in prev and k - i in g
+                )
+                if c:
+                    powers[j][k] = c
+            val = ring.sum(
+                f[j] * powers[j][k] for j in range(2, min(k, top) + 1) if j in f and k in powers[j]
+            )
             if val:
-                g[(k,)] = -val
-        return TruncSeries(self.ring, self.order, 1, g)
+                g[k] = -val
+        return TruncSeries(ring, self.order, 1, {(k,): c for k, c in g.items()})
 
     def mult_inverse(self) -> "TruncSeries":
         """Multiplicative inverse of a series with constant term 1.

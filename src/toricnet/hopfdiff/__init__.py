@@ -19,6 +19,7 @@ from .bfk import (
     bfk_coproduct_gen,
     bfk_coproduct_word,
     bfk_counit,
+    bfk_generator_checks,
 )
 from .coaction import (
     b_series,
@@ -47,6 +48,7 @@ from .ln import (
     ln_coproduct,
     ln_coproduct_gen,
     ln_counit,
+    ln_generator_checks,
     ln_is_homogeneous,
     t_series,
 )
@@ -64,6 +66,7 @@ __all__ = [
     "bfk_coproduct_gen",
     "bfk_coproduct_word",
     "bfk_counit",
+    "bfk_generator_checks",
     "coaction_coassoc_ok",
     "coaction_counit_ok",
     "commutative_fgl",
@@ -79,6 +82,7 @@ __all__ = [
     "ln_coproduct",
     "ln_coproduct_gen",
     "ln_counit",
+    "ln_generator_checks",
     "ln_is_homogeneous",
     "log_series",
     "mu_b_image",

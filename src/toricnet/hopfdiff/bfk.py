@@ -120,3 +120,18 @@ def ab_bfk_to_ln(max_weight: int) -> tuple[bool, tuple | None]:
             if abelianize_ncf(bfk_antipode(x), "diffeo") != ln.ln_antipode(ab_x):
                 return False, w
     return True, None
+
+
+@lru_cache(maxsize=None)
+def bfk_generator_checks(m: int) -> tuple:
+    """The Hopf axioms at Z_m as ((name, ok), ...): coassociativity, the left
+    and right antipode convolutions, and the counit."""
+    if m < 1:
+        raise ValueError("generators are Z_1, Z_2, ...")
+    gen = NCF.gen(m)
+    return (
+        (f"coassociativity Z[{m}]", not bfk_coassociativity_gap(gen)),
+        (f"antipode left Z[{m}]", bfk_convolution(gen, left_antipode=True) == 0),
+        (f"antipode right Z[{m}]", bfk_convolution(gen, left_antipode=False) == 0),
+        (f"counit Z[{m}]", bfk_counit(gen) == 0),
+    )

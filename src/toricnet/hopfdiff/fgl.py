@@ -59,12 +59,14 @@ def fgl_commutative_ok(order: int) -> bool:
     return swap_axes(f) == f
 
 
+@lru_cache(maxsize=None)
 def fgl_associativity_defect(order: int):
     """First nonzero coefficient of F(F(x,y),z) - F(x,F(y,z)), or None.
 
     Returns (exponent_triple, NCF difference) for the lexicographically
     smallest failing exponent. None through order 4; starting at order 5 the
-    defect is 2(Z_{112} - Z_{121}) at x*y*z^3.
+    defect is 2(Z_{112} - Z_{121}) at x*y*z^3. Memoised per order, like
+    fgl_over_N, whose order check it inherits.
     """
     f = fgl_over_N(order)
     x = TruncSeries.var(NCF, order, index=0, nvars=3)

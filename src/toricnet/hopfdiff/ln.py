@@ -103,3 +103,18 @@ def ln_coassociativity_gap(i: int) -> SparsePoly:
             left_subs[name] = ln_coproduct_gen(_gen_index(base))
             right_subs[name] = SparsePoly.variable(base)
     return d.substitute(left_subs) - d.substitute(right_subs)
+
+
+@lru_cache(maxsize=None)
+def ln_generator_checks(i: int) -> tuple:
+    """The Hopf axioms at t_i as ((name, ok), ...): coassociativity, the left
+    and right antipode convolutions, and the counit."""
+    if i < 1:
+        raise ValueError("generators are t_1, t_2, ...")
+    gen = SparsePoly.variable(f"t{i}")
+    return (
+        (f"coassociativity t{i}", ln_coassociativity_gap(i) == 0),
+        (f"antipode left t{i}", ln_convolution(gen, left_antipode=True) == 0),
+        (f"antipode right t{i}", ln_convolution(gen, left_antipode=False) == 0),
+        (f"counit t{i}", ln_counit(gen) == 0),
+    )

@@ -14,17 +14,26 @@ from itertools import combinations
 from ..errors import InputError
 
 
+def _integer(x, name: str) -> int:
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise InputError(f"{name} entries must be integers, got {x!r}")
+    return i
+
+
 def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as tuples of ints; an entry with a fractional part is refused
-    with InputError, not truncated."""
+    """``rows`` as tuples of ints; an entry that is not a whole number (a
+    fractional part, text, None) is refused with InputError, not truncated."""
     out = []
     for row in rows:
-        row = tuple(row)
-        ints = tuple(int(x) for x in row)
-        if ints != row:
-            bad = next(x for x, i in zip(row, ints) if x != i)
-            raise InputError(f"{name} entries must be integers, got {bad!r}")
-        out.append(ints)
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise InputError(f"each {name} must be a row of integers, got {row!r}") from None
+        out.append(tuple(_integer(x, name) for x in row))
     return tuple(out)
 
 

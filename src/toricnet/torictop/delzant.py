@@ -34,6 +34,9 @@ class DelzantPolytope:
 
     def __post_init__(self):
         normals = integer_rows(self.normals, "normal")
+        for x in self.offsets:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"offsets must be int or Fraction, got {x!r}")
         offsets = tuple(Fraction(x) for x in self.offsets)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from toricnet import cli
+from toricnet import cli, hopfdiff
 from toricnet.cli import main
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
@@ -472,6 +472,26 @@ class TestHarness:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+
+# each request reads a per-degree memo of toricnet.hopfdiff
+HOPF_MEMOS = [
+    (["hopf", "fgl", "--order", str(order)], "fgl_associativity_defect") for order in range(5, 9)
+] + [
+    (["hopf", "verify", "--algebra", algebra], f"{algebra}_generator_checks")
+    for algebra in ("bfk", "ln")
+]
+
+
+@pytest.mark.parametrize("argv, memo", HOPF_MEMOS, ids=["-".join(argv[1:]) for argv, _ in HOPF_MEMOS])
+def test_repeated_hopf_request_is_a_cache_hit(run, argv, memo):
+    memo = getattr(hopfdiff, memo)
+    first = run(*argv, "--format", "json")
+    before = memo.cache_info()
+    assert run(*argv, "--format", "json") == first
+    after = memo.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 BAD_INTEGER_ARGUMENTS = [

@@ -321,6 +321,54 @@ class TestSeriesOverEveryRing:
             assert other.__name__ in str(info.value)
 
 
+def _per_degree_inverse(f, ring, order):
+    """The compositional inverse by the per-degree algorithm: g_k is minus the
+    T^k coefficient of f(T + g_2 T^2 + ... + g_{k-1} T^{k-1})."""
+    g = {1: ring.one()}
+    for k in range(2, order + 1):
+        val = _expand(f, g, ring, k).get(k)
+        if val:
+            g[k] = -val
+    return g
+
+
+@pytest.mark.parametrize("top", [3, 9], ids=["cubic", "full"])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.__name__)
+def test_comp_inverse_matches_per_degree_algorithm(ring, top):
+    """At order 9, for f of degree ``top`` with some coefficients zero."""
+    order, rng = 9, random.Random(top)
+    element = RANDOM_ELEMENT[ring]
+    f = {1: ring.one(), **{k: element(rng) for k in range(2, top + 1) if rng.random() < 0.7}}
+    inverse = TruncSeries(ring, order, 1, {(k,): c for k, c in f.items()}).comp_inverse()
+    assert inverse.order == order
+    expected = _per_degree_inverse(f, ring, order)
+    assert inverse.coeffs == {(k,): c for k, c in expected.items()}
+    assert all(type(inverse.coeffs[(k,)]) is type(c) for k, c in expected.items())
+
+
+def _lagrange_inverse(f, order):
+    """[T^k] g = (1/k) [T^(k-1)] (T/f)^k over plain Fraction lists."""
+    h = [f.get(k + 1, 0) for k in range(order)]  # f / T
+    recip = [Fraction(1)] + [Fraction(0)] * (order - 1)  # T / f
+    for k in range(1, order):
+        recip[k] = -sum(h[j] * recip[k - j] for j in range(1, k + 1))
+    g = {}
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for k in range(1, order + 1):
+        power = [sum(power[i] * recip[n - i] for i in range(n + 1)) for n in range(order)]
+        if power[k - 1]:
+            g[k] = power[k - 1] / k
+    return g
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_comp_inverse_matches_lagrange_inversion(seed):
+    order, rng = 16, random.Random(seed)
+    f = {1: 1, **{k: _rational(rng) for k in range(2, order + 1)}}
+    inverse = TruncSeries(QRing, order, 1, {(k,): c for k, c in f.items()}).comp_inverse()
+    assert inverse.coeffs == {(k,): c for k, c in _lagrange_inverse(f, order).items()}
+
+
 # -- SparsePoly against a plain-dict oracle ----------------------------------
 #
 # The oracle keys a polynomial by its exponent vector over NAMES, so it needs
@@ -659,10 +707,26 @@ def test_rational_lattice_kernel_spans_sympy_nullspace():
             assert sympy.Matrix.hstack(*null, sympy.Matrix(u)).rank() == len(null), a
 
 
-@pytest.mark.parametrize("eliminate", [ff_determinant, rank, lattice_kernel])
+@pytest.mark.parametrize(
+    "eliminate",
+    [
+        ff_determinant,
+        rank,
+        lattice_kernel,
+        rational_rref,
+        inverse_rational,
+        lambda a: solve_rational(a, [0] * len(a)),
+    ],
+    ids=lambda f: getattr(f, "__name__", "").replace("<lambda>", "solve_rational"),
+)
 @pytest.mark.parametrize(
     "a", [[[0.1]], [[1.5, 1], [0, 1]], [[Fraction(1, 2), 1], [2, 3.0]]], ids=["0.1", "1.5", "3.0"]
 )
 def test_float_matrix_entries_raise(eliminate, a):
     with pytest.raises(TypeError):
         eliminate(a)
+
+
+def test_float_right_hand_side_raises():
+    with pytest.raises(TypeError):
+        solve_rational([[1, 0], [0, 1]], [1, 0.5])

@@ -16,6 +16,7 @@ from toricnet.hopfdiff import (
     bfk_coproduct,
     bfk_coproduct_gen,
     bfk_counit,
+    bfk_generator_checks,
     coaction_coassoc_ok,
     coaction_counit_ok,
     commutative_fgl,
@@ -30,6 +31,7 @@ from toricnet.hopfdiff import (
     ln_coproduct,
     ln_coproduct_gen,
     ln_counit,
+    ln_generator_checks,
     ln_is_homogeneous,
     mu_b_image,
     mu_coaction,
@@ -152,6 +154,13 @@ class TestFgl:
         assert mono == (1, 1, 3)
         assert render_ncf(defect) == "2·Z[1,1,2] - 2·Z[1,2,1]"
 
+    @pytest.mark.parametrize("order", [0, 9])
+    def test_out_of_range_defect_order_is_refused_and_not_cached(self, order):
+        size = fgl_associativity_defect.cache_info().currsize
+        with pytest.raises(InputError):
+            fgl_associativity_defect(order)
+        assert fgl_associativity_defect.cache_info().currsize == size
+
     def test_abelianized_matches_commutative(self):
         assert fgl_abelianized(5) == commutative_fgl(5)
 
@@ -191,3 +200,21 @@ class TestBeta:
             beta_deform(Fraction(1), 0)
         with pytest.raises(InputError):
             beta_deform(Fraction(1), 9)
+
+
+class TestGeneratorChecks:
+    @pytest.mark.parametrize(
+        "checks, name", [(bfk_generator_checks, "Z[3]"), (ln_generator_checks, "t3")]
+    )
+    def test_every_axiom_holds_at_a_generator(self, checks, name):
+        assert checks(3) == tuple(
+            (f"{axiom} {name}", True)
+            for axiom in ("coassociativity", "antipode left", "antipode right", "counit")
+        )
+
+    @pytest.mark.parametrize("checks", [bfk_generator_checks, ln_generator_checks])
+    def test_generator_zero_is_refused_and_not_cached(self, checks):
+        size = checks.cache_info().currsize
+        with pytest.raises(ValueError):
+            checks(0)
+        assert checks.cache_info().currsize == size

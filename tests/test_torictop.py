@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
@@ -354,6 +355,24 @@ class TestDelzant:
             DelzantPolytope(((2, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
         with pytest.raises(InputError):
             DelzantPolytope(((1, 0), (0, 1)), (F(0),))
+
+    @pytest.mark.parametrize("offset", [-4.1, -4.0, "-4"])
+    def test_non_rational_offset_refused(self, offset):
+        with pytest.raises(TypeError, match="offsets must be int or Fraction"):
+            DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), offset))
+        assert DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), -4)).offsets[2] == -4
+
+    @pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), (1,)])
+    def test_non_numeric_entries_refused(self, bad):
+        message = f"facet entries must be integers, got {re.escape(repr(bad))}"
+        with pytest.raises(InputError, match=message):
+            SimplicialComplex(3, ((bad, 2), (2, 3), (1, 3)))
+        with pytest.raises(InputError, match="normal entries must be integers"):
+            DelzantPolytope(((bad, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
+
+    def test_a_row_that_is_no_sequence_is_refused(self):
+        with pytest.raises(InputError, match="each facet must be a row of integers, got 1"):
+            SimplicialComplex(3, (1, (2, 3)))
 
 
 # ---------------------------------------------------------------- Delzant oracle

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import toricnet.hopfdiff  # noqa: F401  (loads the modules lru_caches() scans)
 from toricnet.torictop import quasitoric
 
 _spec = importlib.util.spec_from_file_location(
@@ -28,3 +29,13 @@ def test_trace_target_resolves(target):
 
 def test_context_cache_is_where_the_tracer_reads_it():
     assert isinstance(vars(quasitoric)["_CONTEXTS"], dict)
+
+
+def test_tracer_reports_the_hopf_memos():
+    names = {name for name, _ in tracer.lru_caches()}
+    for memo in (
+        "fgl.fgl_associativity_defect",
+        "bfk.bfk_generator_checks",
+        "ln.ln_generator_checks",
+    ):
+        assert f"toricnet.hopfdiff.{memo}" in names
