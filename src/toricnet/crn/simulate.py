@@ -4,6 +4,13 @@ Classical RK4 on cdot = Y * A * Psi(c). Any Runge-Kutta step moves c along a
 combination of stoichiometric columns, so linear conservation laws survive up
 to roundoff; the integrator checks them at every recorded step and treats a
 violation as an internal bug, not bad input.
+
+The right-hand side is built once per call from sparse lists: each complex's
+nonzero exponents and the nonzero entries of A and Y, each in index order.
+The terms it skips would add exact zeros, so every state is bit-identical to
+the dense products Y * A * Psi(c) wherever those are finite. A state that leaves the float range (the
+solution blows up, or dt is far too large) is refused with InputError rather
+than integrated on through infinities and NaNs.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from ..errors import InputError, InternalError
 from ..exactcore import lattice_kernel, transpose
 from .network import build_rate_matrix, stoichiometric_matrix
 from .parser import Network
-from .toric import psi_vector
 
 
 @dataclass(frozen=True)
@@ -53,14 +59,23 @@ def simulate(
     if record_every < 1:
         raise InputError("record_every must be >= 1")
 
-    a = [[float(e) for e in row] for row in build_rate_matrix(net, bindings or {})]
-    y = [[float(net.complexes[col][row]) for col in range(net.n_complexes)]
-         for row in range(net.n_species)]
+    a = build_rate_matrix(net, bindings or {})
+    monomials = [[(j, e) for j, e in enumerate(vec) if e] for vec in net.complexes]
+    a_rows = [[(l, float(x)) for l, x in enumerate(row) if x] for row in a]
+    y_rows = [
+        [(k, float(vec[j])) for k, vec in enumerate(net.complexes) if vec[j]]
+        for j in range(net.n_species)
+    ]
 
     def deriv(c: list[float]) -> list[float]:
-        psi = psi_vector(net, c)
-        flux = [sum(arow[l] * psi[l] for l in range(len(psi))) for arow in a]
-        return [sum(yrow[k] * flux[k] for k in range(len(flux))) for yrow in y]
+        psi = []
+        for pairs in monomials:
+            prod = 1.0
+            for j, e in pairs:
+                prod *= c[j] ** e
+            psi.append(prod)
+        flux = [sum([x * psi[l] for l, x in row]) for row in a_rows]
+        return [sum([y * flux[k] for k, y in row]) for row in y_rows]
 
     laws = [[float(x) for x in w] for w in conservation_laws(net)]
     law_refs = [sum(wi * ci for wi, ci in zip(w, c0)) for w in laws]
@@ -78,16 +93,21 @@ def simulate(
     step = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        k1 = deriv(c)
-        k2 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k1)])
-        k3 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k2)])
-        k4 = deriv([ci + h * ki for ci, ki in zip(c, k3)])
+        try:
+            k1 = deriv(c)
+            k2 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k1)])
+            k3 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k2)])
+            k4 = deriv([ci + h * ki for ci, ki in zip(c, k3)])
+        except OverflowError:  # a power c_j^e beyond the float range
+            raise InputError(f"concentrations overflowed after t = {t:.6g}") from None
         c = [
             ci + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
             for ci, a1, a2, a3, a4 in zip(c, k1, k2, k3, k4)
         ]
         t += h
         step += 1
+        if not all(map(math.isfinite, c)):
+            raise InputError(f"concentrations overflowed at t = {t:.6g}")
         if min(c) < -1e-12:
             raise InputError(
                 f"concentration went negative at t = {t:.6g}; use a smaller dt"

@@ -6,9 +6,12 @@ class is checked for strong connectivity (and, with symbolic rates, against
 ENUMERATION_CAP complexes) before any rate is resolved. Then one rate matrix
 is built, and both paths read its class blocks. With numeric rates K_i is a
 principal cofactor of the block (the matrix-tree theorem), taken by
-fraction-free elimination at every class size. With symbolic rates the
-arborescences over the block's off-diagonal entries are enumerated by
-backtracking over parent assignments, one monomial per tree.
+fraction-free elimination at every class size. With symbolic rates each
+class is packed once: its rate names indexed in sorted order, and each edge
+term turned into an integer key of exponent fields. The arborescences into
+every root are then enumerated by backtracking over parent assignments, and
+a tree costs one key addition, so the walk is bound by its output. Each
+root's keys are sorted as ints, which is render order, and decoded once.
 """
 
 from __future__ import annotations
@@ -19,58 +22,129 @@ from .network import build_rate_matrix, linkage_classes, strong_components, symb
 from .parser import Network
 
 ENUMERATION_CAP = 8
+# Width of a decode chunk. A chunk's table holds up to 2^_CHUNK_BITS pieces;
+# wider chunks mean fewer lookups per key but more table misses, and on the
+# seeded 7-complex, 19-name classes (about 850 keys each) 4 to 6 bits do best.
+_CHUNK_BITS = 6
 
 
-def _in_trees(block, root: int) -> SparsePoly:
-    """Sum over the arborescences converging to root of their edge products,
-    the edge s -> t weighing block[t][s] in a symbolic class block.
+def _pack(block):
+    """The class's edge terms over packed integer keys, and their decoder.
 
-    A weight of several terms (parallel reactions, k1 + k2) is split into
-    parallel single-term edges first, which by distributivity gives the same
-    sum. The walk then carries exponent counts and a coefficient product, so
-    each tree costs one monomial and no polynomial product.
+    Names are indexed once, in the sorted order that ``SparsePoly.vars``
+    reports. A key holds one fixed-width exponent field per name, the first
+    name most significant, with the total degree on top; adding keys
+    multiplies monomials, and comparing them as ints is the order of
+    ``SparsePoly.sorted_terms``. A field is as wide as the largest exponent
+    its name reaches in one tree: for every source, the name's largest
+    exponent among the source's out-edge terms, summed over the sources. A
+    narrower field would carry into its neighbour silently.
+
+    Returns ``choices[s]``, the out-edges of s as ``(t, key, coeff)``, and
+    ``decode``, which turns a key back into a monomial through per-chunk
+    tables that fill as they are used.
     """
     nu = len(block)
-    others = [v for v in range(nu) if v != root]
-    out_choices = {
-        s: [(t, m, c) for t in range(nu) if t != s for m, c in block[t][s].terms.items()]
-        for s in others
-    }
-    parent: dict = {}
-    powers: dict = {}
-    out: dict = {}
-
-    def walk_hits(start: int, candidate: int) -> bool:
-        # would candidate as start's parent close a cycle?
-        v = candidate
-        while v in parent:
-            v = parent[v]
-            if v == start:
-                return True
-        return False
-
-    def rec(i: int, coeff) -> None:
-        if i == len(others):
-            m = tuple(sorted(powers.items()))
-            out[m] = out[m] + coeff if m in out else coeff
-            return
-        v = others[i]
-        for t, m, c in out_choices[v]:
-            if t != root and walk_hits(v, t):
-                continue
-            parent[v] = t
+    out_terms = [
+        [(t, m, c) for t in range(nu) if t != s for m, c in block[t][s].terms.items()]
+        for s in range(nu)
+    ]
+    reach: dict = {}
+    for edges in out_terms:
+        most: dict = {}
+        for _, m, _ in edges:
             for name, exp in m:
-                powers[name] = powers.get(name, 0) + exp
-            rec(i + 1, coeff * c)
-            for name, exp in m:
-                if powers[name] == exp:
-                    del powers[name]
+                if exp > most.get(name, 0):
+                    most[name] = exp
+        for name, exp in most.items():
+            reach[name] = reach.get(name, 0) + exp
+    # fields from the least significant (the last name) up, grouped into
+    # chunks of at most _CHUNK_BITS (or one wider field): (base, fields)
+    shift: dict = {}
+    groups: list = []
+    offset = 0
+    for name in sorted(reach, reverse=True):
+        width = reach[name].bit_length()
+        if not groups or offset + width - groups[-1][0] > _CHUNK_BITS:
+            groups.append((offset, []))
+        groups[-1][1].append((name, offset - groups[-1][0], (1 << width) - 1))
+        shift[name] = offset
+        offset += width
+
+    def pack(m) -> int:
+        key = degree = 0
+        for name, exp in m:
+            key += exp << shift[name]
+            degree += exp
+        return key + (degree << offset)
+
+    choices = [[(t, pack(m), c) for t, m, c in edges] for edges in out_terms]
+    ends = [base for base, _ in groups[1:]] + [offset]
+    chunks = [
+        (base, (1 << end - base) - 1, local[::-1], {})
+        for (base, local), end in zip(reversed(groups), reversed(ends))
+    ]
+
+    def decode(key: int) -> tuple:
+        mono = ()
+        for base, mask, local, table in chunks:
+            part = key >> base & mask
+            if part:
+                piece = table.get(part)
+                if piece is None:
+                    piece = table[part] = tuple(
+                        (n, part >> s & k) for n, s, k in local if part >> s & k
+                    )
+                mono += piece
+        return mono
+
+    return choices, decode
+
+
+def _class_in_trees(block) -> list:
+    """K_i of every root i of a symbolic class block: the sum over the
+    arborescences converging to i of their edge products, the edge s -> t
+    weighing block[t][s].
+
+    A weight of several terms (parallel reactions, k1 + k2) counts as
+    parallel single-term edges, which by distributivity gives the same sum.
+    The class is packed once (``_pack``); each root's walk carries a
+    ``parent`` list, an integer key and a coefficient product, so a tree
+    costs one key addition and no sort. Each distinct key is decoded once,
+    and the terms go into the result in ``sorted_terms`` order.
+    """
+    nu = len(block)
+    choices, decode = _pack(block)
+    parent: list = [None] * nu
+    result = []
+    for root in range(nu):
+        others = [v for v in range(nu) if v != root]
+        last = len(others) - 1
+        acc: dict = {}
+
+        def rec(i: int, key: int, coeff) -> None:
+            v = others[i]
+            for t, k, c in choices[v]:
+                # t would close a cycle when its parent chain leads back to v
+                w = t
+                while w != v and parent[w] is not None:
+                    w = parent[w]
+                if w == v:
+                    continue
+                if i == last:
+                    k += key
+                    acc[k] = acc[k] + coeff * c if k in acc else coeff * c
                 else:
-                    powers[name] -= exp
-            del parent[v]
+                    parent[v] = t
+                    rec(i + 1, key + k, coeff * c)
+            parent[v] = None
 
-    rec(0, 1)
-    return SparsePoly._trusted(out)
+        if others:
+            rec(0, 0, 1)
+        else:
+            acc[0] = 1
+        result.append(SparsePoly._trusted({decode(k): acc[k] for k in sorted(acc)}))
+    return result
 
 
 def matrix_tree_cofactor(block, root: int, row: int):
@@ -118,6 +192,10 @@ def class_trees(a, classes, symbolic: bool) -> list:
     out: list = [None] * len(a)
     for cls in classes:
         block = [[a[t][s] for s in cls] for t in cls]
-        for i, root in enumerate(cls):
-            out[root] = _in_trees(block, i) if symbolic else matrix_tree_cofactor(block, i, i)
+        if symbolic:
+            for root, k in zip(cls, _class_in_trees(block)):
+                out[root] = k
+        else:
+            for i, root in enumerate(cls):
+                out[root] = matrix_tree_cofactor(block, i, i)
     return out

@@ -342,6 +342,149 @@ class TestTrees:
         assert [k.substitute(rates).constant_value() for k in symbolic] == expected
         assert tree_constants(net, rates) == expected
 
+    def test_each_symbolic_class_is_packed_once(self, monkeypatch):
+        """tree_constants packs each symbolic linkage class once, not once
+        per root; class_trees on numeric rates (birch_point's call) packs
+        nothing and still gives the principal cofactors."""
+        from toricnet.crn import trees
+
+        packed = []
+        original = trees._pack
+
+        def counted(block):
+            packed.append(len(block))
+            return original(block)
+
+        monkeypatch.setattr(trees, "_pack", counted)
+        net = parse_network("A <-> B : k1, k2\nB <-> C : k3, k4\nC -> A : k5\nD <-> E : k6, 2")
+        k = tree_constants(net)
+        assert packed == [3, 2]
+        assert k[3:] == [SparsePoly.const(2), SparsePoly.variable("k6")]
+
+        packed.clear()
+        rates = {"k1": 2, "k2": 3, "k3": Fraction(1, 2), "k4": 5, "k5": 7, "k6": 11}
+        a = build_rate_matrix(net, rates)
+        classes = linkage_classes(net)
+        numeric = trees.class_trees(a, classes, symbolic=False)
+        assert packed == []
+        blocks = [[[a[t][s] for s in cls] for t in cls] for cls in classes]
+        assert numeric == [matrix_tree_cofactor(b, i, i) for b in blocks for i in range(len(b))]
+        assert numeric == [k.substitute(rates).constant_value() for k in tree_constants(net)]
+
+    # Packed exponent keys: every case is checked against networkx after
+    # substituting the rates, against the cofactor of the substituted rate
+    # matrix, and (up to seven complexes) against the polynomial cofactor.
+
+    def test_one_name_on_many_edges_reaches_its_full_power(self):
+        # eight complexes, the cycle all on one name k: the in-tree along the
+        # cycle into A is k^7, and every field must hold that without a carry
+        from toricnet.crn.trees import ENUMERATION_CAP
+
+        names = "ABCDEFGH"
+        assert len(names) == ENUMERATION_CAP
+        lines = [f"{names[i]} -> {names[(i + 1) % 8]} : k" for i in range(8)]
+        lines += [f"{names[(i + 1) % 8]} -> {names[i]} : r{i}" for i in range(8)]
+        lines += ["A -> E : k", "C -> G : r0"]
+        rates = {"k": Fraction(3, 2), **{f"r{i}": Fraction(i + 2, 3) for i in range(8)}}
+        symbolic = _check_packed_trees("\n".join(lines), rates)
+        assert symbolic[0].coefficient({"k": 7}) == 1
+        assert max(m[0][1] for k in symbolic for m in k.terms if m[0][0] == "k") == 7
+
+    def test_names_out_of_numeric_order(self):
+        # k10 sorts before k2, so it takes the more significant field
+        text = "A -> B : k2\nB -> A : k10\nB -> C : k1\nC -> A : k2\nC -> B : k10\nA -> C : k3"
+        symbolic = _check_packed_trees(text, {"k1": 5, "k2": Fraction(1, 3), "k3": 7, "k10": 2})
+        assert symbolic[0].vars == ("k1", "k10", "k2")
+
+    def test_numeric_rates_mixed_with_symbolic(self):
+        # numeric edges carry coefficients, and a tree of numeric edges only
+        # lands on the constant monomial ()
+        text = "A -> B : 2\nB -> C : 3/2\nC -> A : k1\nB -> A : k2\nC -> D : 5\nD -> C : 7\nD -> B : k1"
+        symbolic = _check_packed_trees(text, {"k1": 3, "k2": Fraction(2, 5)})
+        assert {c for k in symbolic for c in k.terms.values()} - {1}
+        assert () in symbolic[3].terms
+
+    def test_parallel_reactions_sum_their_weights(self):
+        text = "A -> B : k1\nA -> B : k2\nB -> C : k3\nC -> A : k4\nC -> A : k1\nB -> A : 2"
+        symbolic = _check_packed_trees(text, {"k1": 2, "k2": 3, "k3": 5, "k4": Fraction(1, 7)})
+        assert len(symbolic[1].terms) > 1
+
+    def test_high_exponents_need_wide_fields(self):
+        # a hand-built class block whose edge terms carry powers: x reaches
+        # x^9 in one tree, which a field sized for x^3 alone would carry out of
+        from toricnet.crn.trees import class_trees
+
+        x, y = SparsePoly.variable("x"), SparsePoly.variable("y")
+        weights = {(0, 1): x**3, (1, 2): x**3 + 2 * y, (2, 3): x**3 * y, (3, 0): y**2,
+                   (1, 0): x * y**4, (2, 0): 3 * x**2, (3, 1): x + 1}
+        a = [[SparsePoly.zero()] * 4 for _ in range(4)]
+        for (s, t), w in weights.items():
+            a[t][s] = w
+            a[s][s] = a[s][s] - w
+        got = class_trees(a, [[0, 1, 2, 3]], symbolic=True)
+        assert got == [matrix_tree_cofactor(a, root, root) for root in range(4)]
+        assert got[3].coefficient({"x": 9}) == 0 and got[3].coefficient({"x": 9, "y": 1}) == 1
+        for k in got:
+            _assert_rendered_in_order(k)
+
+
+def _assert_rendered_in_order(poly):
+    """The terms come out of tree_constants in render order, and render
+    matches a sort by total degree and then by the dense exponent vector."""
+    names = sorted({name for m in poly.terms for name, _ in m})
+
+    def order(m):
+        powers = dict(m)
+        return (sum(powers.values()), [powers.get(name, 0) for name in names])
+
+    monomials = sorted(poly.terms, key=order)
+    assert list(poly.terms) == monomials
+    parts = []
+    for m in monomials:
+        c = poly.terms[m]
+        body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in m)
+        parts.append(str(c) if not body else body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}")
+    assert poly.render() == " + ".join(parts).replace("+ -", "- ")
+
+
+def _check_packed_trees(text: str, rates: dict) -> list:
+    """Symbolic tree constants of one strongly connected class, checked
+    against networkx's arborescences and the cofactors after substituting
+    ``rates``, and up to seven complexes against the polynomial cofactor."""
+    import networkx as nx
+    from networkx.algorithms.tree.branchings import ArborescenceIterator
+
+    net = parse_network(text)
+    n = net.n_complexes
+    assert linkage_classes(net) == [list(range(n))]
+    symbolic = tree_constants(net)
+    for k in symbolic:
+        _assert_rendered_in_order(k)
+
+    # an in-tree of G converging to i is an arborescence of reversed G rooted
+    # at i; parallel reactions add their rates on one edge
+    reversed_graph = nx.DiGraph()
+    for r in net.reactions:
+        w = rates[r.rate] if isinstance(r.rate, str) else r.rate
+        if reversed_graph.has_edge(r.target, r.source):
+            reversed_graph[r.target][r.source]["rate"] += w
+        else:
+            reversed_graph.add_edge(r.target, r.source, rate=Fraction(w))
+    expected = [Fraction(0)] * n
+    for arb in ArborescenceIterator(reversed_graph):
+        root = next(v for v in arb if arb.in_degree(v) == 0)
+        product = Fraction(1)
+        for u, v in arb.edges:
+            product *= reversed_graph[u][v]["rate"]
+        expected[root] += product
+    assert [k.substitute(rates).constant_value() for k in symbolic] == expected
+    numeric = build_rate_matrix(net, rates)
+    assert [matrix_tree_cofactor(numeric, i, i) for i in range(n)] == expected
+    if n <= 7:
+        a = build_rate_matrix(net, None)
+        assert symbolic == [matrix_tree_cofactor(a, i, (i + 1) % n) for i in range(n)]
+    return symbolic
+
 
 def _random_weakly_reversible(rng: random.Random):
     """(reaction text, bindings, balanced): one to three linkage classes of
@@ -524,6 +667,66 @@ class TestSimulate:
         net = parse_network(TRIANGLE)
         traj = simulate(net, None, [3.0, 0.0, 0.0], t_end=40.0, dt=0.01)
         assert max(abs(c - 1.0) for c in traj.final) < 1e-8
+
+    def test_bit_identical_to_dense_rk4(self):
+        """Every recorded state equals, float.hex for float.hex, a dense RK4
+        over build_rate_matrix and psi_vector, on seeded networks with
+        species missing from some complexes and with two linkage classes."""
+        from toricnet.crn.toric import psi_vector
+
+        def dense(net, bindings, c0, t_end, dt):
+            a = [[float(e) for e in row] for row in build_rate_matrix(net, bindings)]
+            y = [[float(vec[j]) for vec in net.complexes] for j in range(net.n_species)]
+
+            def deriv(c):
+                psi = psi_vector(net, c)
+                flux = [sum(row[l] * psi[l] for l in range(len(psi))) for row in a]
+                return [sum(row[k] * flux[k] for k in range(len(flux))) for row in y]
+
+            c, t, times, states = list(c0), 0.0, [0.0], [tuple(c0)]
+            while t < t_end - 1e-12:
+                h = min(dt, t_end - t)
+                k1 = deriv(c)
+                k2 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k1)])
+                k3 = deriv([ci + h / 2 * ki for ci, ki in zip(c, k2)])
+                k4 = deriv([ci + h * ki for ci, ki in zip(c, k3)])
+                c = [ci + h / 6 * (p + 2 * q + 2 * r + s)
+                     for ci, p, q, r, s in zip(c, k1, k2, k3, k4)]
+                t += h
+                times.append(t)
+                states.append(tuple(c))
+            return times, states
+
+        rng = random.Random(21)
+        runs, shapes = 0, set()
+        while runs < 40:
+            text, bindings, _ = _random_weakly_reversible(rng)
+            net = parse_network(text)
+            c0 = [rng.uniform(0.2, 2.0) for _ in net.species]
+            try:
+                traj = simulate(net, bindings, c0, t_end=0.3, dt=0.0125)
+            except InputError:
+                continue
+            times, states = dense(net, bindings, c0, 0.3, 0.0125)
+            assert list(traj.times) == times, text
+            assert [list(map(float.hex, st)) for st in traj.states] == [
+                list(map(float.hex, st)) for st in states
+            ], text
+            runs += 1
+            missing = any(0 in vec for vec in net.complexes)
+            shapes.add((len(linkage_classes(net)), missing))
+        assert {(2, True), (1, True)} <= shapes
+
+    @pytest.mark.parametrize(
+        "text, c0",
+        [
+            ("A -> 2A : 1", [1.0]),  # (2A)'s monomial A^2 overflows first
+            ("A -> A + B : 1\nB -> A + B : 1", [1.0, 1.0]),  # A*B overflows to inf
+        ],
+    )
+    def test_blow_up_refused(self, text, c0):
+        with pytest.raises(InputError, match="concentrations overflowed"):
+            simulate(parse_network(text), None, c0, t_end=800.0, dt=0.5)
 
     def test_negative_c0_rejected(self):
         net = parse_network(TRIANGLE)
