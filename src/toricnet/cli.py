@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 bad input (including unknown flags and unreadable
 files), 2 domain refusal. Refusals always emit machine-readable
 {"error": {"kind": ..., "detail": ...}} regardless of --format.
 
+Every ``_cmd_*`` handler computes and returns ``(payload, text_lines)``, or
+``(payload, text_lines, exit_code)`` when the result itself decides the code
+(``hopf verify`` exits 1 on a failed check, its output still printed); it
+prints nothing. ``main`` prints the one result through ``_emit`` in the form
+``--format`` asks for, and every subcommand is declared through ``_command``,
+which adds that option.
+
 The argparse tree is built once per process, on the first ``main`` call, and
 reused by every later call: each ``parse_args`` returns a fresh namespace, no
 option appends to a shared default, and a usage error raises before any
@@ -95,18 +102,13 @@ def _parse_bindings(text: str | None) -> dict | None:
     return out
 
 
-def _parse_ints(text: str) -> tuple:
+def _parse_list(text: str, convert, word: str) -> tuple:
+    """``text`` split at commas, each part through ``convert``; ``word`` names
+    the expected entries in the refusal."""
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_fracs(text: str) -> list:
-    try:
-        return [Fraction(p.strip()) for p in text.split(",") if p.strip()]
+        return tuple(convert(p.strip()) for p in text.split(",") if p.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"expected comma-separated rationals, got {text!r}") from exc
+        raise InputError(f"expected comma-separated {word}, got {text!r}") from exc
 
 
 def _build(make, *args):
@@ -124,13 +126,6 @@ def _generator_degree(args) -> int:
     return args.degree
 
 
-def _parse_floats(text: str) -> list:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 # ---------------------------------------------------------------- crn
 
 
@@ -140,7 +135,7 @@ def _load_network(arg: str):
     return parse_network(_read_source(arg))
 
 
-def _cmd_crn_analyze(args) -> int:
+def _cmd_crn_analyze(args) -> tuple:
     from .crn import analyze
 
     net = _load_network(args.input)
@@ -167,11 +162,10 @@ def _cmd_crn_analyze(args) -> int:
         "weakly reversible: " + ("yes" if info.weakly_reversible else "no"),
         "cayley:",
     ] + ["  " + " ".join(str(x) for x in row) for row in info.cayley]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_crn_trees(args) -> int:
+def _cmd_crn_trees(args) -> tuple:
     from .crn import tree_constants
 
     net = _load_network(args.input)
@@ -182,11 +176,10 @@ def _cmd_crn_trees(args) -> int:
         ]
     }
     lines = [f"K[{i + 1}] ({net.complex_label(i)}) = {v}" for i, v in enumerate(values)]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_crn_ideal(args) -> int:
+def _cmd_crn_ideal(args) -> tuple:
     from .crn import toric_binomials
 
     net = _load_network(args.input)
@@ -198,11 +191,10 @@ def _cmd_crn_ideal(args) -> int:
         ]
     }
     lines = [b.text for b in bins] if bins else ["(no binomials: kernel is trivial)"]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_crn_steady(args) -> int:
+def _cmd_crn_steady(args) -> tuple:
     from .crn import birch_point
 
     net = _load_network(args.input)
@@ -217,15 +209,14 @@ def _cmd_crn_steady(args) -> int:
     lines = [
         f"{s} = {c:.12g}" for s, c in zip(net.species, st.concentrations)
     ] + [f"residual = {st.residual:.3e}", f"normalization = {st.normalization}"]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_crn_simulate(args) -> int:
+def _cmd_crn_simulate(args) -> tuple:
     from .crn import simulate
 
     net = _load_network(args.input)
-    c0 = _parse_floats(args.c0)
+    c0 = _parse_list(args.c0, float, "numbers")
     traj = simulate(
         net,
         _parse_bindings(args.bindings),
@@ -242,11 +233,10 @@ def _cmd_crn_simulate(args) -> int:
     lines = [f"t = {traj.times[-1]:.6g} after {len(traj.times)} recorded steps"] + [
         f"{s} = {c:.12g}" for s, c in zip(net.species, traj.final)
     ]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_crn_toric(args) -> int:
+def _cmd_crn_toric(args) -> tuple:
     from .torictop import crn_to_toric
 
     net = _load_network(args.input)
@@ -254,42 +244,38 @@ def _cmd_crn_toric(args) -> int:
     payload, lines = _quasitoric_output(q)
     payload["mxi"] = _mxi_json(cls)
     lines.append("mxi: " + render_ncf(cls.to_ncf()))
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
 # ---------------------------------------------------------------- qsym / sym
 
 
-def _cmd_qsym_product(args) -> int:
+def _cmd_qsym_product(args) -> tuple:
     from .ncsf import QSF, qsym_product
 
     out = qsym_product(
-        _build(QSF.monomial, _parse_ints(args.left)),
-        _build(QSF.monomial, _parse_ints(args.right)),
+        _build(QSF.monomial, _parse_list(args.left, int, "integers")),
+        _build(QSF.monomial, _parse_list(args.right, int, "integers")),
     )
-    _emit(qsf_json(out), [render_qsf(out)], args.format)
-    return 0
+    return qsf_json(out), [render_qsf(out)]
 
 
-def _cmd_qsym_pair(args) -> int:
+def _cmd_qsym_pair(args) -> tuple:
     from .ncsf import NCF, QSF, pairing
 
     value = pairing(
-        _build(NCF.word, _parse_ints(args.word)), _build(QSF.monomial, _parse_ints(args.comp))
+        _build(NCF.word, _parse_list(args.word, int, "integers")),
+        _build(QSF.monomial, _parse_list(args.comp, int, "integers")),
     )
-    payload = {"value": frac_str(value)}
-    _emit(payload, [frac_str(value)], args.format)
-    return 0
+    return {"value": frac_str(value)}, [frac_str(value)]
 
 
-def _cmd_qsym_realize(args) -> int:
+def _cmd_qsym_realize(args) -> tuple:
     from .ncsf import qsym_realize
 
-    poly = _build(qsym_realize, _parse_ints(args.comp), args.nvars)
+    poly = _build(qsym_realize, _parse_list(args.comp, int, "integers"), args.nvars)
     payload = {"polynomial": poly.render(), "nvars": args.nvars}
-    _emit(payload, [poly.render()], args.format)
-    return 0
+    return payload, [poly.render()]
 
 
 def _parse_sym_element(text: str):
@@ -299,58 +285,48 @@ def _parse_sym_element(text: str):
     basis = basis.strip()
     if not parts:
         raise InputError(f"expected basis:parts like e:2,1, got {text!r}")
-    return _build(SymF.element, basis, _parse_ints(parts))
+    return _build(SymF.element, basis, _parse_list(parts, int, "integers"))
 
 
-def _cmd_sym_convert(args) -> int:
+def _cmd_sym_convert(args) -> tuple:
     from .ncsf import sym_convert
 
     out = sym_convert(_parse_sym_element(args.element), args.to)
-    _emit(sym_json(out), [render_sym(out)], args.format)
-    return 0
+    return sym_json(out), [render_sym(out)]
 
 
-def _cmd_sym_pair(args) -> int:
+def _cmd_sym_pair(args) -> tuple:
     from .ncsf import hall_pairing
 
     value = hall_pairing(_parse_sym_element(args.left), _parse_sym_element(args.right))
-    _emit({"value": frac_str(value)}, [frac_str(value)], args.format)
-    return 0
+    return {"value": frac_str(value)}, [frac_str(value)]
 
 
 # ---------------------------------------------------------------- hopf
 
 
-def _cmd_hopf_coproduct(args) -> int:
+def _cmd_hopf_coproduct(args) -> tuple:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_coproduct_gen
 
         t = bfk_coproduct_gen(_generator_degree(args))
-        text = f"Δ(Z[{args.degree}]) = {render_tensor(t)}"
-        _emit({"coproduct": tensor_json(t)}, [text], args.format)
-    else:
-        from .hopfdiff import ln_coproduct_gen
+        return {"coproduct": tensor_json(t)}, [f"Δ(Z[{args.degree}]) = {render_tensor(t)}"]
+    from .hopfdiff import ln_coproduct_gen
 
-        p = ln_coproduct_gen(_generator_degree(args))
-        text = f"Δ(t{args.degree}) = {p.render()}"
-        _emit({"coproduct": p.render()}, [text], args.format)
-    return 0
+    p = ln_coproduct_gen(_generator_degree(args))
+    return {"coproduct": p.render()}, [f"Δ(t{args.degree}) = {p.render()}"]
 
 
-def _cmd_hopf_antipode(args) -> int:
+def _cmd_hopf_antipode(args) -> tuple:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_antipode_gen
 
         x = bfk_antipode_gen(_generator_degree(args))
-        text = f"χ(Z[{args.degree}]) = {render_ncf(x)}"
-        _emit({"antipode": ncf_json(x)}, [text], args.format)
-    else:
-        from .hopfdiff import ln_antipode_gen
+        return {"antipode": ncf_json(x)}, [f"χ(Z[{args.degree}]) = {render_ncf(x)}"]
+    from .hopfdiff import ln_antipode_gen
 
-        p = ln_antipode_gen(_generator_degree(args))
-        text = f"χ(t{args.degree}) = {p.render()}"
-        _emit({"antipode": p.render()}, [text], args.format)
-    return 0
+    p = ln_antipode_gen(_generator_degree(args))
+    return {"antipode": p.render()}, [f"χ(t{args.degree}) = {p.render()}"]
 
 
 def _hopf_checks(algebra: str, max_weight: int) -> list:
@@ -360,17 +336,16 @@ def _hopf_checks(algebra: str, max_weight: int) -> list:
     return [check for n in range(1, max_weight + 1) for check in generator_checks(n)]
 
 
-def _cmd_hopf_verify(args) -> int:
+def _cmd_hopf_verify(args) -> tuple:
     if args.max_weight < 1:
         raise InputError(f"max weight must be >= 1, got {args.max_weight}")
     checks = _hopf_checks(args.algebra, args.max_weight)
     payload = {"algebra": args.algebra, "checks": [{"name": n, "ok": ok} for n, ok in checks]}
     lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
-    _emit(payload, lines, args.format)
-    return 0 if all(ok for _, ok in checks) else 1
+    return payload, lines, 0 if all(ok for _, ok in checks) else 1
 
 
-def _cmd_hopf_fgl(args) -> int:
+def _cmd_hopf_fgl(args) -> tuple:
     from .hopfdiff import (
         fgl_associativity_defect,
         fgl_commutative_ok,
@@ -411,11 +386,10 @@ def _cmd_hopf_fgl(args) -> int:
             if e
         )
         lines.append(f"associative: FAIL, first defect at {mono}: {render_ncf(coeff)}")
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_hopf_coaction(args) -> int:
+def _cmd_hopf_coaction(args) -> tuple:
     from .hopfdiff import mu_b_image, mu_log_image
 
     if args.target == "log-generators":
@@ -423,14 +397,13 @@ def _cmd_hopf_coaction(args) -> int:
     else:
         p = mu_b_image(args.degree)
     payload = {"target": args.target, "image": p.render()}
-    _emit(payload, [f"μ(t{args.degree}) = {p.render()}"], args.format)
-    return 0
+    return payload, [f"μ(t{args.degree}) = {p.render()}"]
 
 
 # ---------------------------------------------------------------- freeprob
 
 
-def _cmd_freeprob_cumulants(args) -> int:
+def _cmd_freeprob_cumulants(args) -> tuple:
     """``freeprob free`` and ``freeprob classical``: ``args.transforms`` names
     the (moments -> cumulants, cumulants -> moments) pair in ``freeprob``."""
     from . import freeprob
@@ -439,54 +412,43 @@ def _cmd_freeprob_cumulants(args) -> int:
         raise InputError("give exactly one of --moments or --cumulants")
     to_cumulants, to_moments = (getattr(freeprob, name) for name in args.transforms)
     if args.moments is not None:
-        out = to_cumulants(_parse_fracs(args.moments))
+        out = to_cumulants(_parse_list(args.moments, Fraction, "rationals"))
         key = f"{args.cmd}_cumulants"
     else:
-        out = to_moments(_parse_fracs(args.cumulants))
+        out = to_moments(_parse_list(args.cumulants, Fraction, "rationals"))
         key = "moments"
     payload = {key: [frac_str(v) for v in out]}
-    _emit(payload, [f"{key}: " + ", ".join(frac_str(v) for v in out)], args.format)
-    return 0
+    return payload, [f"{key}: " + ", ".join(frac_str(v) for v in out)]
 
 
-def _cmd_freeprob_hirzebruch(args) -> int:
+def _cmd_freeprob_hirzebruch(args) -> tuple:
     from .freeprob import hirzebruch_K
 
-    coeffs = _parse_fracs(args.log)
+    coeffs = _parse_list(args.log, Fraction, "rationals")
     order = args.order if args.order is not None else len(coeffs)
     ks = hirzebruch_K(coeffs, order)
     payload = {"K": [frac_str(v) for v in ks]}
     lines = [f"K{i} = {frac_str(v)}" for i, v in enumerate(ks)]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_freeprob_ncseries(args) -> int:
+def _cmd_freeprob_ncseries(args) -> tuple:
     from .freeprob import nc_cumulant_series
 
     series = nc_cumulant_series(args.order)
-    def coeff_rows(ts):
-        rows = []
-        for n in range(1, args.order + 1):
-            c = ts.coeffs.get((n,))
-            if c is None:
-                continue
-            rows.append((n, c))
-        return rows
-
+    raw, normalized = (
+        [(n, ts.coeffs[(n,)]) for n in range(1, args.order + 1) if (n,) in ts.coeffs]
+        for ts in (series.raw, series.normalized)
+    )
     payload = {
-        "raw": [{"n": n, "value": ncf_json(c)} for n, c in coeff_rows(series.raw)],
-        "normalized": [
-            {"n": n, "value": ncf_json(c)} for n, c in coeff_rows(series.normalized)
-        ],
+        key: [{"n": n, "value": ncf_json(c)} for n, c in rows]
+        for key, rows in (("raw", raw), ("normalized", normalized))
     }
-    lines = ["raw:"] + [
-        f"  [x^{n}] = {render_ncf(c)}" for n, c in coeff_rows(series.raw)
-    ] + ["normalized:"] + [
-        f"  k[{n}] = {render_ncf(c)}" for n, c in coeff_rows(series.normalized)
-    ]
-    _emit(payload, lines, args.format)
-    return 0
+    lines = (
+        ["raw:"] + [f"  [x^{n}] = {render_ncf(c)}" for n, c in raw]
+        + ["normalized:"] + [f"  k[{n}] = {render_ncf(c)}" for n, c in normalized]
+    )
+    return payload, lines
 
 
 # ---------------------------------------------------------------- toric
@@ -560,18 +522,17 @@ def _load_polytope(path: str):
     return DelzantPolytope(normals, offsets)
 
 
-def _cmd_toric_validate(args) -> int:
+def _cmd_toric_validate(args) -> tuple:
     q = _load_quasitoric(args.quasitoric, flip=False)
     rep = q.validate()
     payload = {"valid": rep.valid, "checks_run": list(rep.checks_run), "issues": list(rep.issues)}
     lines = [f"valid: {'yes' if rep.valid else 'no'}"] + [
         f"  issue: {msg}" for msg in rep.issues
     ]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_toric_charnum(args) -> int:
+def _cmd_toric_charnum(args) -> tuple:
     from .ncsf import partitions
     from .torictop import delzant_to_quasitoric, hamiltonian_numbers, mxi_numbers
     from .torictop.charnum import _chern_values
@@ -612,35 +573,39 @@ def _cmd_toric_charnum(args) -> int:
         lines += [
             f"S[{','.join(str(p) for p in a)}] = {frac_str(v)}" for a, v in ham.table
         ]
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def _cmd_toric_delzant(args) -> int:
+def _cmd_toric_delzant(args) -> tuple:
     from .torictop import delzant_to_quasitoric
 
     q, u = delzant_to_quasitoric(_load_polytope(args.polytope))
     payload, lines = _quasitoric_output(q)
     payload["u"] = [frac_str(x) for x in u]
     lines.append("u: " + ", ".join(frac_str(x) for x in u))
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
 # ---------------------------------------------------------------- wiring
 
 
-def _add_format(p) -> None:
+def _command(group, name: str, fn, **defaults):
+    """Subcommand ``name`` of ``group``, run by ``fn``, with ``--format``;
+    ``defaults`` are further namespace values the handler reads."""
+    p = group.add_parser(name)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(fn=fn, **defaults)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = _Parser(prog="toricnet", description=__doc__.splitlines()[0])
     groups = root.add_subparsers(dest="group", required=True)
 
-    crn = groups.add_parser("crn", help="reaction network analyses").add_subparsers(
-        dest="cmd", required=True
-    )
+    def group(name: str, about: str):
+        return groups.add_parser(name, help=about).add_subparsers(dest="cmd", required=True)
+
+    crn = group("crn", "reaction network analyses")
     for name, fn in (
         ("analyze", _cmd_crn_analyze),
         ("trees", _cmd_crn_trees),
@@ -649,10 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", _cmd_crn_simulate),
         ("toric", _cmd_crn_toric),
     ):
-        p = crn.add_parser(name)
+        p = _command(crn, name, fn)
         p.add_argument("input", help="reaction file, inline text, or - for stdin")
-        _add_format(p)
-        p.set_defaults(fn=fn)
         if name in ("trees", "steady", "simulate"):
             p.add_argument("--bindings", help="k1=2,k2=1/3")
         if name == "steady":
@@ -669,115 +632,69 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dt", type=float, default=0.01)
             p.add_argument("--record-every", type=int, default=1)
 
-    qsym = groups.add_parser("qsym", help="quasisymmetric functions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = qsym.add_parser("product")
+    qsym = group("qsym", "quasisymmetric functions")
+    p = _command(qsym, "product", _cmd_qsym_product)
     p.add_argument("--left", required=True, help="composition, e.g. 1,2")
     p.add_argument("--right", required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_qsym_product)
-    p = qsym.add_parser("pair")
+    p = _command(qsym, "pair", _cmd_qsym_pair)
     p.add_argument("--word", required=True, help="Z-word, e.g. 1,2")
     p.add_argument("--comp", required=True, help="M-composition")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_qsym_pair)
-    p = qsym.add_parser("realize")
+    p = _command(qsym, "realize", _cmd_qsym_realize)
     p.add_argument("--comp", required=True)
     p.add_argument("--nvars", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_qsym_realize)
 
-    sym = groups.add_parser("sym", help="symmetric functions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = sym.add_parser("convert")
+    sym = group("sym", "symmetric functions")
+    p = _command(sym, "convert", _cmd_sym_convert)
     p.add_argument("--element", required=True, help="basis:parts, e.g. e:2,1")
     p.add_argument("--to", required=True, choices=("e", "h", "p", "m", "s"))
-    _add_format(p)
-    p.set_defaults(fn=_cmd_sym_convert)
-    p = sym.add_parser("pair")
+    p = _command(sym, "pair", _cmd_sym_pair)
     p.add_argument("--left", required=True, help="basis:parts")
     p.add_argument("--right", required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_sym_pair)
 
-    hopf = groups.add_parser("hopf", help="Hopf algebras of diffeomorphisms").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = hopf.add_parser("coproduct")
-    p.add_argument("--algebra", choices=("ln", "bfk"), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hopf_coproduct)
-    p = hopf.add_parser("antipode")
-    p.add_argument("--algebra", choices=("ln", "bfk"), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hopf_antipode)
-    p = hopf.add_parser("verify")
+    hopf = group("hopf", "Hopf algebras of diffeomorphisms")
+    for name, fn in (("coproduct", _cmd_hopf_coproduct), ("antipode", _cmd_hopf_antipode)):
+        p = _command(hopf, name, fn)
+        p.add_argument("--algebra", choices=("ln", "bfk"), required=True)
+        p.add_argument("--degree", type=int, required=True)
+    p = _command(hopf, "verify", _cmd_hopf_verify)
     p.add_argument("--algebra", choices=("ln", "bfk"), required=True)
     p.add_argument("--max-weight", type=int, default=6)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hopf_verify)
-    p = hopf.add_parser("fgl")
+    p = _command(hopf, "fgl", _cmd_hopf_fgl)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hopf_fgl)
-    p = hopf.add_parser("coaction")
+    p = _command(hopf, "coaction", _cmd_hopf_coaction)
     p.add_argument("--target", choices=("log-generators", "b-series"), required=True)
     p.add_argument("--degree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hopf_coaction)
 
-    fp = groups.add_parser("freeprob", help="cumulant transforms").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = fp.add_parser("free")
-    p.add_argument("--moments", help="1,m1,m2,... starting at m0 = 1")
-    p.add_argument("--cumulants", help="k1,k2,...")
-    _add_format(p)
-    p.set_defaults(
-        fn=_cmd_freeprob_cumulants,
+    fp = group("freeprob", "cumulant transforms")
+    p = _command(
+        fp, "free", _cmd_freeprob_cumulants,
         transforms=("moments_to_free_cumulants", "free_cumulants_to_moments"),
     )
-    p = fp.add_parser("classical")
-    p.add_argument("--moments")
-    p.add_argument("--cumulants")
-    _add_format(p)
-    p.set_defaults(
-        fn=_cmd_freeprob_cumulants,
+    p.add_argument("--moments", help="1,m1,m2,... starting at m0 = 1")
+    p.add_argument("--cumulants", help="k1,k2,...")
+    p = _command(
+        fp, "classical", _cmd_freeprob_cumulants,
         transforms=("classical_cumulants", "classical_cumulants_to_moments"),
     )
-    p = fp.add_parser("hirzebruch")
+    p.add_argument("--moments")
+    p.add_argument("--cumulants")
+    p = _command(fp, "hirzebruch", _cmd_freeprob_hirzebruch)
     p.add_argument("--log", required=True, help="log coefficients l1,l2,... with l1 = 1")
     p.add_argument("--order", type=int)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_freeprob_hirzebruch)
-    p = fp.add_parser("ncseries")
+    p = _command(fp, "ncseries", _cmd_freeprob_ncseries)
     p.add_argument("--order", type=int, default=4)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_freeprob_ncseries)
 
-    toric = groups.add_parser("toric", help="quasitoric data").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = toric.add_parser("validate")
+    toric = group("toric", "quasitoric data")
+    p = _command(toric, "validate", _cmd_toric_validate)
     p.add_argument("--quasitoric", required=True, help="JSON with facets + lambda")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_toric_validate)
-    p = toric.add_parser("charnum")
+    p = _command(toric, "charnum", _cmd_toric_charnum)
     p.add_argument("--quasitoric")
     p.add_argument("--polytope")
     p.add_argument("--orientation-flip", action="store_true")
     p.add_argument("--bundle", choices=("tangent", "normal"), default="tangent")
     p.add_argument("--convention", choices=("mxi", "ginzburg"), default="mxi")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_toric_charnum)
-    p = toric.add_parser("delzant")
+    p = _command(toric, "delzant", _cmd_toric_delzant)
     p.add_argument("--polytope", required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_toric_delzant)
 
     return root
 
@@ -788,9 +705,10 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-        code = args.fn(args)
+        payload, lines, *code = args.fn(args)
+        _emit(payload, lines, args.format)
         sys.stdout.flush()
-        return code
+        return code[0] if code else 0
     except BrokenPipeError:
         # the reader closed stdout early (``| head``): the output was cut, not
         # wrong; stdout goes to devnull so the interpreter's final flush is quiet

@@ -15,8 +15,9 @@ from ..errors import InputError
 
 
 def _integer(x, name: str) -> int:
+    # a bool equals 0 or 1 but is no integer entry
     try:
-        i = int(x)
+        i = None if isinstance(x, bool) else int(x)
     except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != x:
@@ -26,7 +27,8 @@ def _integer(x, name: str) -> int:
 
 def integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
     """``rows`` as tuples of ints; an entry that is not a whole number (a
-    fractional part, text, None) is refused with InputError, not truncated."""
+    fractional part, text, None, a bool) is refused with InputError, not
+    truncated or read as 0 or 1."""
     out = []
     for row in rows:
         try:

@@ -1,3 +1,4 @@
+import ast
 import io
 import itertools
 import json
@@ -276,6 +277,22 @@ class TestHopf:
             assert len(lines) == 12  # 4 checks x 3 weights
             assert all(line.endswith(": ok") for line in lines)
 
+    @pytest.mark.parametrize("algebra", ["bfk", "ln"])
+    def test_verify_failing_check_exit_1(self, run, monkeypatch, algebra):
+        # the output of a failed axiom check is still printed in full
+        checks = lambda n: [(f"weight {n} check", n != 2)]  # noqa: E731
+        monkeypatch.setattr(hopfdiff, f"{algebra}_generator_checks", checks)
+        argv = ["hopf", "verify", "--algebra", algebra, "--max-weight", "3"]
+        code, out = run(*argv)
+        assert code == 1
+        assert out == "weight 1 check: ok\nweight 2 check: FAIL\nweight 3 check: ok\n"
+        code, out = run(*argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {
+            "algebra": algebra,
+            "checks": [{"name": f"weight {n} check", "ok": n != 2} for n in (1, 2, 3)],
+        }
+
     def test_fgl(self, run):
         code, out = run("hopf", "fgl", "--order", "5")
         assert code == 0
@@ -455,6 +472,24 @@ class TestHarness:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
+
+    def test_one_output_path(self):
+        """Handlers return their result and print nothing; ``main`` alone
+        prints it, through the one call of ``_emit``."""
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+        def calls(fn) -> list:
+            return [
+                node.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            ]
+
+        assert [fn.name for fn in functions for name in calls(fn) if name == "_emit"] == ["main"]
+        handlers = [fn for fn in functions if fn.name.startswith("_cmd_")]
+        assert len(handlers) == 22
+        assert [fn.name for fn in handlers if {"print", "_emit"} & set(calls(fn))] == []
 
     def test_unknown_group_exit_1(self, run):
         code, out = run("bogus")

@@ -1,7 +1,8 @@
-"""Byte-for-byte goldens of ``--format json`` output.
+"""Byte-for-byte goldens of ``--format json`` and ``--format text`` output.
 
 Each case runs one CLI command and compares its stdout with
-``tests/golden/<name>.json``. Between them the cases reach every renderer
+``tests/golden/<name>.json``, and without ``--format json`` with
+``tests/golden/<name>.txt``. Between them the cases reach every renderer
 (words, compositions, partitions, tensors, polynomials and rationals), so a
 refactor of the algebra types cannot change a printed byte unnoticed.
 ``@name`` in an argument stands for ``tests/golden/inputs/name``.
@@ -79,10 +80,9 @@ CASES = {
 }
 
 
-def argv(name: str) -> list:
-    return [
-        str(GOLDEN / "inputs" / a[1:]) if a.startswith("@") else a for a in CASES[name]
-    ] + ["--format", "json"]
+def argv(name: str, fmt: str = "json") -> list:
+    args = [str(GOLDEN / "inputs" / a[1:]) if a.startswith("@") else a for a in CASES[name]]
+    return args + ["--format", "json"] if fmt == "json" else args
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -90,6 +90,13 @@ def test_json_output_is_byte_identical(name, capsys):
     assert main(argv(name)) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_output_is_byte_identical(name, capsys):
+    assert main(argv(name, "text")) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def _count_calls(monkeypatch, functions) -> dict:

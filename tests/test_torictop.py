@@ -362,11 +362,14 @@ class TestDelzant:
             DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), offset))
         assert DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), -4)).offsets[2] == -4
 
-    @pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), (1,)])
+    # a bool equals 1 or 0 but is refused, not read as that integer
+    @pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), (1,), True, False])
     def test_non_numeric_entries_refused(self, bad):
         message = f"facet entries must be integers, got {re.escape(repr(bad))}"
         with pytest.raises(InputError, match=message):
             SimplicialComplex(3, ((bad, 2), (2, 3), (1, 3)))
+        with pytest.raises(InputError, match="lambda entries must be integers"):
+            QuasitoricData(cpn_data(2).complex, ((bad, 0, -1), (0, 1, -1)))
         with pytest.raises(InputError, match="normal entries must be integers"):
             DelzantPolytope(((bad, 0), (0, 1), (-1, -1)), (F(0), F(0), F(-4)))
 
