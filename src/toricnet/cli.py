@@ -392,12 +392,10 @@ def _cmd_hopf_fgl(args) -> tuple:
 def _cmd_hopf_coaction(args) -> tuple:
     from .hopfdiff import mu_b_image, mu_log_image
 
-    if args.target == "log-generators":
-        p = mu_log_image(args.degree)
-    else:
-        p = mu_b_image(args.degree)
+    degree = _generator_degree(args)
+    p = (mu_log_image if args.target == "log-generators" else mu_b_image)(degree)
     payload = {"target": args.target, "image": p.render()}
-    return payload, [f"μ(t{args.degree}) = {p.render()}"]
+    return payload, [f"μ(t{degree}) = {p.render()}"]
 
 
 # ---------------------------------------------------------------- freeprob

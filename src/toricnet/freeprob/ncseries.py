@@ -10,6 +10,7 @@ Both forms are returned; neither is privileged.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..errors import InputError
@@ -30,8 +31,13 @@ def _flip_sign(f: TruncSeries) -> TruncSeries:
     )
 
 
+@lru_cache(maxsize=None)
 def nc_cumulant_series(order: int) -> NCCumulants:
-    """The antipode-of-Z(-x) series and its unit-normalized companion."""
+    """The antipode-of-Z(-x) series and its unit-normalized companion.
+
+    Memoised per order, like ``fgl_over_N``; an out-of-range order raises
+    before any entry is stored.
+    """
     if order < 1 or order > 8:
         raise InputError("order must be between 1 and 8")
     # one extra order so shift_down still leaves x^order intact

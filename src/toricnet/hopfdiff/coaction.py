@@ -43,7 +43,11 @@ def _log_coaction_series(order: int) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def mu_log_image(n: int) -> SparsePoly:
-    """psi(CP_n) in Q[CP_*] (x) Q[t_*]."""
+    """psi(CP_n) in Q[CP_*] (x) Q[t_*].
+
+    n = 0 gives 1, since CP_0 = 1 is the unit and no generator; the CLI's
+    ``hopf coaction`` refuses degree 0.
+    """
     if n < 0:
         raise InputError("CP index must be >= 0")
     if n == 0:
@@ -53,7 +57,11 @@ def mu_log_image(n: int) -> SparsePoly:
 
 @lru_cache(maxsize=None)
 def mu_b_image(n: int) -> SparsePoly:
-    """psi(b_n): the T^(n+1) coefficient of b(t(T))."""
+    """psi(b_n): the T^(n+1) coefficient of b(t(T)).
+
+    n = 0 gives 1, since b_0 = 1 is the unit and no generator; the CLI's
+    ``hopf coaction`` refuses degree 0.
+    """
     if n < 0:
         raise InputError("b index must be >= 0")
     if n == 0:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from toricnet import cli, hopfdiff
+from toricnet import cli, freeprob, hopfdiff
 from toricnet.cli import main
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
@@ -529,8 +529,21 @@ def test_repeated_hopf_request_is_a_cache_hit(run, argv, memo):
     assert after.hits > before.hits
 
 
+def test_repeated_ncseries_request_is_a_cache_hit(run):
+    memo = freeprob.nc_cumulant_series
+    argv = ("freeprob", "ncseries", "--order", "5", "--format", "json")
+    first = run(*argv)
+    before = memo.cache_info()
+    assert run(*argv) == first
+    after = memo.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
 BAD_INTEGER_ARGUMENTS = [
     ["hopf", "coproduct", "--algebra", "bfk", "--degree", "0"],
+    ["hopf", "coaction", "--target", "b-series", "--degree", "0"],
+    ["hopf", "coaction", "--target", "log-generators", "--degree", "0"],
     ["hopf", "antipode", "--algebra", "ln", "--degree", "0"],
     ["qsym", "product", "--left", "0,1", "--right", "1"],
     ["qsym", "pair", "--word", "0", "--comp", "1"],

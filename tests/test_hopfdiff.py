@@ -115,6 +115,7 @@ class TestBfk:
 class TestCoaction:
     def test_log_image(self):
         assert mu_log_image(2).render() == "3*t2 + CP2 + 3*CP1*t1"
+        assert mu_log_image(0) == SparsePoly.one()
 
     def test_b_image(self):
         assert mu_b_image(2).render() == "t2 + b2 + 2*b1*t1"

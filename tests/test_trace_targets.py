@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-import toricnet.hopfdiff  # noqa: F401  (loads the modules lru_caches() scans)
+import toricnet.freeprob  # noqa: F401  (loads the modules lru_caches() scans)
+import toricnet.hopfdiff  # noqa: F401
 from toricnet.torictop import quasitoric
 
 _spec = importlib.util.spec_from_file_location(
@@ -34,8 +35,9 @@ def test_context_cache_is_where_the_tracer_reads_it():
 def test_tracer_reports_the_hopf_memos():
     names = {name for name, _ in tracer.lru_caches()}
     for memo in (
-        "fgl.fgl_associativity_defect",
-        "bfk.bfk_generator_checks",
-        "ln.ln_generator_checks",
+        "hopfdiff.fgl.fgl_associativity_defect",
+        "hopfdiff.bfk.bfk_generator_checks",
+        "hopfdiff.ln.ln_generator_checks",
+        "freeprob.ncseries.nc_cumulant_series",
     ):
-        assert f"toricnet.hopfdiff.{memo}" in names
+        assert f"toricnet.{memo}" in names
