@@ -36,7 +36,6 @@ from .render import (
     render_tensor,
     sym_json,
     tensor_json,
-    value_str,
 )
 
 DEFAULT_ORDER = 8
@@ -166,10 +165,10 @@ def _cmd_crn_analyze(args) -> tuple:
 
 
 def _cmd_crn_trees(args) -> tuple:
-    from .crn import tree_constants
+    from .crn import tree_constant_texts
 
     net = _load_network(args.input)
-    values = [value_str(v) for v in tree_constants(net, _parse_bindings(args.bindings))]
+    values = tree_constant_texts(net, _parse_bindings(args.bindings))
     payload = {
         "tree_constants": [
             {"complex": net.complex_label(i), "value": v} for i, v in enumerate(values)
@@ -354,6 +353,8 @@ def _cmd_hopf_fgl(args) -> tuple:
     )
 
     order = args.order
+    if order < 2:
+        raise InputError(f"order must be at least 2 to reach the coefficient of x·y, got {order}")
     f = fgl_over_N(order)
     xy = f.coeffs.get((1, 1))
     unit = fgl_unit_ok(order)

@@ -16,7 +16,7 @@ from .network import (
 from .parser import Network, Reaction, parse_network
 from .simulate import Trajectory, conservation_laws, simulate
 from .toric import SteadyState, ToricBinomial, birch_point, psi_vector, toric_binomials
-from .trees import matrix_tree_cofactor, tree_constants
+from .trees import matrix_tree_cofactor, tree_constant_texts, tree_constants
 
 __all__ = [
     "Network",
@@ -42,5 +42,6 @@ __all__ = [
     "stoichiometric_rank",
     "strong_components",
     "toric_binomials",
+    "tree_constant_texts",
     "tree_constants",
 ]

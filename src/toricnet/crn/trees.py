@@ -11,20 +11,31 @@ class is packed once: its rate names indexed in sorted order, and each edge
 term turned into an integer key of exponent fields. The arborescences into
 every root are then enumerated by backtracking over parent assignments, and
 a tree costs one key addition, so the walk is bound by its output. Each
-root's keys are sorted as ints, which is render order, and decoded once.
+root's keys are sorted as ints, which is render order, and the walk has two
+endings over one codec. ``tree_constants`` decodes each key once into a
+monomial and returns a ``SparsePoly`` whose terms are in render order.
+``tree_constant_texts``, which ``crn trees`` prints, builds no monomial
+and no ``SparsePoly``: its text decoder joins the printed pieces of the
+key's chunks, and ``join_terms`` writes the sum in the order of the keys,
+so the printed text has the one definition ``SparsePoly.render`` uses.
+Both decoders read the same chunk tables, which hold each piece once as
+its pairs and their text.
 """
 
 from __future__ import annotations
 
 from ..errors import InputError, NotWeaklyReversible
 from ..exactcore import SparsePoly, ff_determinant
+from ..exactcore.polynomials import join_terms, monomial_text
+from ..render import value_str
 from .network import build_rate_matrix, linkage_classes, strong_components, symbolic_rates
 from .parser import Network
 
 ENUMERATION_CAP = 8
 # Width of a decode chunk. A chunk's table holds up to 2^_CHUNK_BITS pieces;
 # wider chunks mean fewer lookups per key but more table misses, and on the
-# seeded 7-complex, 19-name classes (about 850 keys each) 4 to 6 bits do best.
+# seeded 7-complex, 19-name classes (about 850 keys each) 4 to 6 bits do best,
+# for the monomial decoder and for the text decoder alike.
 _CHUNK_BITS = 6
 
 
@@ -40,9 +51,12 @@ def _pack(block):
     exponent among the source's out-edge terms, summed over the sources. A
     narrower field would carry into its neighbour silently.
 
-    Returns ``choices[s]``, the out-edges of s as ``(t, key, coeff)``, and
-    ``decode``, which turns a key back into a monomial through per-chunk
-    tables that fill as they are used.
+    Returns ``choices[s]``, the out-edges of s as ``(t, key, coeff)``;
+    ``decode``, which turns a key back into a monomial; and ``text``, which
+    turns it into the monomial's printed text. Both read the same per-chunk
+    tables, which fill as they are used: a chunk's piece is stored once, as
+    its ``(name, exp)`` pairs and their text (``monomial_text``), so a key's
+    text is its pieces' texts joined with ``*``.
     """
     nu = len(block)
     out_terms = [
@@ -85,38 +99,47 @@ def _pack(block):
         for (base, local), end in zip(reversed(groups), reversed(ends))
     ]
 
+    def piece(part: int, local, table) -> tuple:
+        pairs = tuple((n, part >> s & k) for n, s, k in local if part >> s & k)
+        entry = table[part] = (pairs, monomial_text(pairs))
+        return entry
+
     def decode(key: int) -> tuple:
         mono = ()
         for base, mask, local, table in chunks:
             part = key >> base & mask
             if part:
-                piece = table.get(part)
-                if piece is None:
-                    piece = table[part] = tuple(
-                        (n, part >> s & k) for n, s, k in local if part >> s & k
-                    )
-                mono += piece
+                mono += (table.get(part) or piece(part, local, table))[0]
         return mono
 
-    return choices, decode
+    def text(key: int) -> str:
+        texts = []
+        for base, mask, local, table in chunks:
+            part = key >> base & mask
+            if part:
+                texts.append((table.get(part) or piece(part, local, table))[1])
+        return "*".join(texts)
+
+    return choices, decode, text
 
 
-def _class_in_trees(block) -> list:
-    """K_i of every root i of a symbolic class block: the sum over the
-    arborescences converging to i of their edge products, the edge s -> t
-    weighing block[t][s].
+def _class_sums(block) -> tuple:
+    """The in-tree sums of every root i of a symbolic class block, over the
+    class's packed keys: the sum over the arborescences converging to i of
+    their edge products, the edge s -> t weighing block[t][s].
 
     A weight of several terms (parallel reactions, k1 + k2) counts as
     parallel single-term edges, which by distributivity gives the same sum.
     The class is packed once (``_pack``); each root's walk carries a
     ``parent`` list, an integer key and a coefficient product, so a tree
-    costs one key addition and no sort. Each distinct key is decoded once,
-    and the terms go into the result in ``sorted_terms`` order.
+    costs one key addition and no sort. Returns, per root, its
+    ``(key, coeff)`` terms in key order (which is ``sorted_terms`` order)
+    with zero sums dropped, and the class's ``decode`` and ``text``.
     """
     nu = len(block)
-    choices, decode = _pack(block)
+    choices, decode, text = _pack(block)
     parent: list = [None] * nu
-    result = []
+    sums = []
     for root in range(nu):
         others = [v for v in range(nu) if v != root]
         last = len(others) - 1
@@ -143,8 +166,22 @@ def _class_in_trees(block) -> list:
             rec(0, 0, 1)
         else:
             acc[0] = 1
-        result.append(SparsePoly._trusted({decode(k): acc[k] for k in sorted(acc)}))
-    return result
+        sums.append([(k, acc[k]) for k in sorted(acc) if acc[k]])
+    return sums, decode, text
+
+
+def _class_in_trees(block) -> list:
+    """K_i of every root i of a symbolic class block, as ``SparsePoly``
+    with its terms in render order; each key is decoded once."""
+    sums, decode, _ = _class_sums(block)
+    return [SparsePoly._trusted({decode(k): c for k, c in terms}) for terms in sums]
+
+
+def _class_in_tree_texts(block) -> list:
+    """The printed K_i of every root i of a symbolic class block, written
+    from its keys: the text ``SparsePoly.render`` gives ``_class_in_trees``."""
+    sums, _, text = _class_sums(block)
+    return [join_terms([(text(k), c) for k, c in terms]) for terms in sums]
 
 
 def matrix_tree_cofactor(block, root: int, row: int):
@@ -166,8 +203,9 @@ def matrix_tree_cofactor(block, root: int, row: int):
     return det * sign
 
 
-def tree_constants(net: Network, bindings: dict | None = None) -> list:
-    """K_i for every complex i; SparsePoly when symbolic, a rational otherwise."""
+def _checked_classes(net: Network, bindings: dict | None) -> tuple:
+    """``(symbolic, classes)``, once every linkage class is strongly
+    connected and, with symbolic rates, within ENUMERATION_CAP complexes."""
     symbolic = symbolic_rates(net, bindings)
     classes = linkage_classes(net)
     strong = {tuple(c) for c in strong_components(net)}
@@ -182,20 +220,44 @@ def tree_constants(net: Network, bindings: dict | None = None) -> list:
                 f"class of {len(cls)} complexes: symbolic tree constants "
                 f"are capped at {ENUMERATION_CAP}, pass numeric bindings"
             )
+    return symbolic, classes
+
+
+def tree_constants(net: Network, bindings: dict | None = None) -> list:
+    """K_i for every complex i; SparsePoly when symbolic, a rational otherwise."""
+    symbolic, classes = _checked_classes(net, bindings)
     return class_trees(build_rate_matrix(net, bindings), classes, symbolic)
+
+
+def tree_constant_texts(net: Network, bindings: dict | None = None) -> list:
+    """K_i for every complex i as the CLI prints it: ``value_str`` of
+    ``tree_constants(net, bindings)[i]``, with the same refusals. Symbolic
+    classes are written straight from their sorted keys, with no
+    ``SparsePoly`` built; numeric ones from their cofactors."""
+    symbolic, classes = _checked_classes(net, bindings)
+    a = build_rate_matrix(net, bindings)
+    if symbolic:
+        return _by_class(a, classes, _class_in_tree_texts)
+    return [value_str(k) for k in class_trees(a, classes, False)]
 
 
 def class_trees(a, classes, symbolic: bool) -> list:
     """K_i for every complex i from the rate matrix ``a`` and its strongly
     connected ``classes``: enumerated arborescences when ``symbolic``, the
     principal cofactors of each class block otherwise."""
+    return _by_class(a, classes, _class_in_trees if symbolic else _cofactors)
+
+
+def _cofactors(block) -> list:
+    return [matrix_tree_cofactor(block, i, i) for i in range(len(block))]
+
+
+def _by_class(a, classes, per_block) -> list:
+    """``per_block`` of each class's block of ``a``, its i-th entry placed
+    at the class's i-th complex."""
     out: list = [None] * len(a)
     for cls in classes:
         block = [[a[t][s] for s in cls] for t in cls]
-        if symbolic:
-            for root, k in zip(cls, _class_in_trees(block)):
-                out[root] = k
-        else:
-            for i, root in enumerate(cls):
-                out[root] = matrix_tree_cofactor(block, i, i)
+        for root, k in zip(cls, per_block(block)):
+            out[root] = k
     return out

@@ -48,6 +48,32 @@ def _monomial_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(powers.items()))
 
 
+def monomial_text(m) -> str:
+    """A monomial as ``render`` prints it, from its ``(name, exp)`` pairs:
+    ``k1*k2^3``, and ``""`` for the constant monomial."""
+    return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in m)
+
+
+def join_terms(terms) -> str:
+    """A sum as ``render`` prints it, from ``(monomial text, coefficient)``
+    terms in print order: a unit coefficient is left out, any other joins
+    its monomial with ``*``, a leading minus moves into the join, and an
+    empty sum is ``"0"``."""
+    parts = []
+    for body, c in terms:
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    if not parts:
+        return "0"
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 class SparsePoly(Terms):
     """Immutable sparse polynomial with rational (int or Fraction) coefficients.
 
@@ -162,22 +188,7 @@ class SparsePoly(Terms):
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in m)
-            if not body:
-                piece = str(c)
-            elif c == 1:
-                piece = body
-            elif c == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{c}*{body}"
-            parts.append(piece)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return join_terms([(monomial_text(m), c) for m, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"SparsePoly({self.render()})"

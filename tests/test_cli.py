@@ -553,6 +553,8 @@ BAD_INTEGER_ARGUMENTS = [
     ["crn", "simulate", "A <-> B : 1, 1", "--c0", "1,0", "--t-end", "0.1", "--record-every", "0"],
     ["hopf", "verify", "--algebra", "bfk", "--max-weight", "0"],
     ["hopf", "verify", "--algebra", "ln", "--max-weight", "-2"],
+    ["hopf", "fgl", "--order", "1"],
+    ["hopf", "fgl", "--order", "1", "--format", "json"],
 ]
 
 # --tol 0 on this complex-balanced bridge used to end in an InternalError on

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from toricnet.cli import main
-from toricnet.exactcore import matrices
+from toricnet.exactcore import SparsePoly, matrices
 from toricnet.torictop import complexes, quasitoric
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,11 +30,22 @@ NINE = (
     "E <-> F : 5, 2\nF <-> G : 1, 3\nG <-> H : 2/5, 1\nH <-> I : 1, 4\n"
     "I -> A : 7\nA -> E : 1/2"
 )
+# one class of seven complexes over ten names: a, b, e, g, k and m label
+# out-edges of several complexes, so they reach powers up to k^3, and the
+# exponent fields take three decode chunks; A -> B runs twice (k + f), and
+# one rate is numeric
+SEVEN = (
+    "A -> B : k\nA -> B : f\nB -> C : a\nC -> D : k\nD -> E : b\nE -> F : k\n"
+    "F -> G : c\nG -> A : d\nB -> A : a\nD -> C : e\nF -> E : a\nG -> E : 1/2\n"
+    "A -> D : k\nE -> B : b\nC -> A : e\nB -> D : g\nD -> F : h\nF -> B : g\n"
+    "E -> G : m\nG -> C : m"
+)
 
 CASES = {
     "crn_trees_bridge": ["crn", "trees", BRIDGE],
     "crn_trees_k4": ["crn", "trees", K4],
     "crn_trees_nine": ["crn", "trees", NINE],
+    "crn_trees_seven": ["crn", "trees", SEVEN],
     "crn_toric_bridge": ["crn", "toric", "A <-> B : 1, 1\nB <-> C : 1, 1\nC <-> A : 1, 1"],
     "crn_toric_cycle5": ["crn", "toric", "A -> B : 1\nB -> C : 2\nC -> D : 1\nD -> E : 3\nE -> A : 1"],
     "qsym_product": ["qsym", "product", "--left", "1,2", "--right", "2,1"],
@@ -97,6 +108,23 @@ def test_text_output_is_byte_identical(name, capsys):
     assert main(argv(name, "text")) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_symbolic_trees_are_printed_from_their_keys(fmt, capsys, monkeypatch):
+    """``crn trees`` writes symbolic tree constants from the walk's sorted
+    keys: no ``SparsePoly`` is sorted or rendered, and the bytes are the
+    goldens'."""
+
+    def refuse(self):
+        raise AssertionError("crn trees sorted or rendered a SparsePoly")
+
+    monkeypatch.setattr(SparsePoly, "render", refuse)
+    monkeypatch.setattr(SparsePoly, "sorted_terms", refuse)
+    for name in ("crn_trees_seven", "crn_trees_k4", "crn_trees_bridge"):
+        assert main(argv(name, fmt)) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text(encoding="utf-8")
 
 
 def _count_calls(monkeypatch, functions) -> dict:

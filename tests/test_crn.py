@@ -19,6 +19,7 @@ from toricnet.crn import (
     stoichiometric_matrix,
     strong_components,
     toric_binomials,
+    tree_constant_texts,
     tree_constants,
 )
 from toricnet.crn.parser import Reaction
@@ -30,6 +31,7 @@ from toricnet.errors import (
     ParseError,
 )
 from toricnet.exactcore import SparsePoly
+from toricnet.render import value_str
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1"
 BRIDGE = "2A <-> A + B : k1, k2\nA + B <-> 2B : k3, k4"
@@ -484,6 +486,153 @@ def _check_packed_trees(text: str, rates: dict) -> list:
         a = build_rate_matrix(net, None)
         assert symbolic == [matrix_tree_cofactor(a, i, (i + 1) % n) for i in range(n)]
     return symbolic
+
+
+def _random_trees_network(rng: random.Random, i: int):
+    """(network, bindings) for the text oracle, the i-th of a seeded series.
+
+    Rates cycle through symbolic, integer, fractional and mixed; a symbolic
+    network is sometimes given numeric bindings for every name. Names come
+    from a small pool, so one name labels several edges and reaches powers
+    above 1. A class is a directed cycle plus chords, and some edges run
+    twice with a second rate (parallel reactions). Every 25th network is one
+    class of 7 complexes and 19 reactions, the size of the heaviest
+    benchmark requests; the others have one to three classes of two to five
+    complexes, and some gain a complex with no reactions, a one-complex
+    class."""
+    mode = ("symbolic", "integer", "fraction", "mixed")[i % 4]
+    pool = ["k1", "k2", "k3", "k4", "k10", "a", "b_2"]
+
+    def rate():
+        if mode == "symbolic" or (mode == "mixed" and rng.random() < 0.6):
+            return rng.choice(pool)
+        if mode == "integer" or rng.random() < 0.3:
+            return str(rng.randint(1, 9))
+        return f"{rng.randint(1, 9)}/{rng.randint(2, 9)}"
+
+    sizes = [7] if i % 25 == 24 else [rng.randint(2, 5) for _ in range(rng.randint(1, 3))]
+    lines, base = [], 0
+    for size in sizes:
+        nodes = list(range(base, base + size))
+        rng.shuffle(nodes)
+        edges = [(nodes[j - 1], nodes[j]) for j in range(size)]
+        if size == 7:
+            others = [(s, t) for s in nodes for t in nodes if s != t and (s, t) not in edges]
+            edges += rng.sample(others, 12)
+            names = [f"k{j + 1}" for j in range(19)]
+            rng.shuffle(names)
+            lines += [f"S{s} -> S{t} : {name}" for (s, t), name in zip(edges, names)]
+        else:
+            for _ in range(rng.randint(0, size)):
+                edges.append(tuple(rng.sample(nodes, 2)))
+            edges += rng.sample(edges, rng.randint(0, 2))
+            lines += [f"S{s} -> S{t} : {rate()}" for s, t in edges]
+        base += size
+    net = parse_network("\n".join(lines))
+    if rng.random() < 0.2:
+        lone = (0,) * net.n_species + (1,)
+        net = Network(
+            net.species + ("Z",),
+            tuple(y + (0,) for y in net.complexes) + (lone,),
+            net.reactions,
+            net.bindings,
+        )
+    names = {r.rate for r in net.reactions if isinstance(r.rate, str)}
+    bindings = None
+    if names and rng.random() < 0.25:
+        bindings = {name: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for name in sorted(names)}
+    return net, bindings
+
+
+def _raised(f, *args):
+    """The type and message of what ``f(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+class TestTreeConstantTexts:
+    """``tree_constant_texts``, which ``crn trees`` prints, writes symbolic
+    tree constants from their packed keys; the oracle is ``value_str`` of
+    ``tree_constants``, which decodes the keys into ``SparsePoly`` and
+    renders them through ``SparsePoly.render``'s sort."""
+
+    def test_texts_match_rendered_tree_constants(self):
+        rng = random.Random(2026)
+        seen = dict.fromkeys(["symbolic", "numeric", "power", "fraction", "parallel",
+                              "several classes", "one complex", "seven"], 0)
+        for i in range(520):
+            net, bindings = _random_trees_network(rng, i)
+            expected = [value_str(k) for k in tree_constants(net, bindings)]
+            assert tree_constant_texts(net, bindings) == expected, (i, net, bindings)
+            classes = linkage_classes(net)
+            symbolic = bindings is None and any(isinstance(r.rate, str) for r in net.reactions)
+            seen["symbolic" if symbolic else "numeric"] += 1
+            seen["power"] += symbolic and any("^" in k for k in expected)
+            seen["fraction"] += symbolic and any("/" in k for k in expected)
+            arcs = [(r.source, r.target) for r in net.reactions]
+            seen["parallel"] += len(set(arcs)) < len(arcs)
+            seen["several classes"] += len(classes) > 1
+            seen["one complex"] += min(map(len, classes)) == 1
+            seen["seven"] += symbolic and len(classes[0]) == 7 and len(arcs) == 19
+        assert min(seen.values()) >= 10, seen
+
+    def test_class_texts_match_render_on_signed_blocks(self):
+        # hand-built blocks reach what networks cannot: negative and
+        # cancelling coefficients, constant edge terms, powers on one edge
+        from toricnet.crn.trees import _class_in_tree_texts, _class_in_trees
+
+        rng = random.Random(7)
+        names = ["x", "y", "z10", "z2"]
+        coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+        signs = 0
+        for _ in range(300):
+            nu = rng.randint(1, 4)
+            block = [[SparsePoly.zero()] * nu for _ in range(nu)]
+            for s in range(nu):
+                for t in range(nu):
+                    if s != t and rng.random() < 0.8:
+                        block[t][s] = SparsePoly({
+                            tuple(sorted((n, rng.randint(1, 3))
+                                         for n in rng.sample(names, rng.randint(0, 2)))):
+                            rng.choice(coeffs)
+                            for _ in range(rng.randint(1, 2))
+                        })
+            texts = _class_in_tree_texts(block)
+            assert texts == [k.render() for k in _class_in_trees(block)]
+            signs += any(" - " in k for k in texts)
+        assert signs >= 50
+
+    def test_refusals_match(self):
+        rng = random.Random(11)
+        for i in range(60):
+            net, bindings = _random_trees_network(rng, i)
+            # a one-way exit from the first class breaks its strong connectivity
+            broken = parse_network(
+                "\n".join(
+                    [f"S{r.source} -> S{r.target} : {r.rate}" for r in net.reactions]
+                    + [f"S{net.reactions[0].source} -> Exit : {net.reactions[0].rate}"]
+                )
+            )
+            raised = _raised(tree_constants, broken, bindings)
+            assert raised[0] is NotWeaklyReversible
+            assert _raised(tree_constant_texts, broken, bindings) == raised
+        nine = "\n".join(f"S{j} -> S{(j + 1) % 9} : k{j}" for j in range(9))
+        # the classes are checked in order, the strong connectivity of each
+        # before its size
+        cases = [
+            (nine, InputError),
+            (nine + "\nT1 -> T2 : 2", InputError),
+            ("T1 -> T2 : k1\n" + nine, NotWeaklyReversible),
+        ]
+        for text, kind in cases:
+            raised = _raised(tree_constants, parse_network(text), None)
+            assert raised[0] is kind
+            assert _raised(tree_constant_texts, parse_network(text), None) == raised
+        # with every name bound the cap does not apply, and the texts are rationals
+        net = parse_network(nine)
+        bound = {f"k{j}": j + 1 for j in range(9)}
+        assert tree_constant_texts(net, bound) == [value_str(k) for k in tree_constants(net, bound)]
 
 
 def _random_weakly_reversible(rng: random.Random):

@@ -25,6 +25,12 @@ def test_every_export_resolves(package):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_crn_exports_tree_constant_texts():
+    # the text path crn trees prints sits beside tree_constants
+    crn = importlib.import_module("toricnet.crn")
+    assert {"tree_constant_texts", "tree_constants"} <= set(crn.__all__)
+
+
 def _unused_imports(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     """Module-level imports of ``path`` whose bound name is never read."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
