@@ -1,7 +1,9 @@
 """Command-line front end: every analysis behind one deterministic binary.
 
-Exit codes: 0 success, 1 bad input (including unknown flags and unreadable
-files), 2 domain refusal. Refusals always emit machine-readable
+Exit codes: 0 success, 1 an ``InputError`` (bad input, unknown flags and
+unreadable files included; the library raises it for every bad argument and
+no handler translates one), 2 a ``DomainRefusal``; any other exception is a
+bug and prints a traceback. Refusals always emit machine-readable
 {"error": {"kind": ..., "detail": ...}} regardless of --format.
 
 Every ``_cmd_*`` handler computes and returns ``(payload, text_lines)``, or
@@ -108,21 +110,6 @@ def _parse_list(text: str, convert, word: str) -> tuple:
         return tuple(convert(p.strip()) for p in text.split(",") if p.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"expected comma-separated {word}, got {text!r}") from exc
-
-
-def _build(make, *args):
-    """``make(*args)`` on values parsed from the command line: the library's
-    ValueError on a bad key or count is bad input here."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _generator_degree(args) -> int:
-    if args.degree < 1:
-        raise InputError(f"generator degree must be >= 1, got {args.degree}")
-    return args.degree
 
 
 # ---------------------------------------------------------------- crn
@@ -253,8 +240,8 @@ def _cmd_qsym_product(args) -> tuple:
     from .ncsf import QSF, qsym_product
 
     out = qsym_product(
-        _build(QSF.monomial, _parse_list(args.left, int, "integers")),
-        _build(QSF.monomial, _parse_list(args.right, int, "integers")),
+        QSF.monomial(_parse_list(args.left, int, "integers")),
+        QSF.monomial(_parse_list(args.right, int, "integers")),
     )
     return qsf_json(out), [render_qsf(out)]
 
@@ -263,8 +250,8 @@ def _cmd_qsym_pair(args) -> tuple:
     from .ncsf import NCF, QSF, pairing
 
     value = pairing(
-        _build(NCF.word, _parse_list(args.word, int, "integers")),
-        _build(QSF.monomial, _parse_list(args.comp, int, "integers")),
+        NCF.word(_parse_list(args.word, int, "integers")),
+        QSF.monomial(_parse_list(args.comp, int, "integers")),
     )
     return {"value": frac_str(value)}, [frac_str(value)]
 
@@ -272,7 +259,7 @@ def _cmd_qsym_pair(args) -> tuple:
 def _cmd_qsym_realize(args) -> tuple:
     from .ncsf import qsym_realize
 
-    poly = _build(qsym_realize, _parse_list(args.comp, int, "integers"), args.nvars)
+    poly = qsym_realize(_parse_list(args.comp, int, "integers"), args.nvars)
     payload = {"polynomial": poly.render(), "nvars": args.nvars}
     return payload, [poly.render()]
 
@@ -284,7 +271,7 @@ def _parse_sym_element(text: str):
     basis = basis.strip()
     if not parts:
         raise InputError(f"expected basis:parts like e:2,1, got {text!r}")
-    return _build(SymF.element, basis, _parse_list(parts, int, "integers"))
+    return SymF.element(basis, _parse_list(parts, int, "integers"))
 
 
 def _cmd_sym_convert(args) -> tuple:
@@ -308,11 +295,11 @@ def _cmd_hopf_coproduct(args) -> tuple:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_coproduct_gen
 
-        t = bfk_coproduct_gen(_generator_degree(args))
+        t = bfk_coproduct_gen(args.degree)
         return {"coproduct": tensor_json(t)}, [f"Δ(Z[{args.degree}]) = {render_tensor(t)}"]
     from .hopfdiff import ln_coproduct_gen
 
-    p = ln_coproduct_gen(_generator_degree(args))
+    p = ln_coproduct_gen(args.degree)
     return {"coproduct": p.render()}, [f"Δ(t{args.degree}) = {p.render()}"]
 
 
@@ -320,11 +307,11 @@ def _cmd_hopf_antipode(args) -> tuple:
     if args.algebra == "bfk":
         from .hopfdiff import bfk_antipode_gen
 
-        x = bfk_antipode_gen(_generator_degree(args))
+        x = bfk_antipode_gen(args.degree)
         return {"antipode": ncf_json(x)}, [f"χ(Z[{args.degree}]) = {render_ncf(x)}"]
     from .hopfdiff import ln_antipode_gen
 
-    p = ln_antipode_gen(_generator_degree(args))
+    p = ln_antipode_gen(args.degree)
     return {"antipode": p.render()}, [f"χ(t{args.degree}) = {p.render()}"]
 
 
@@ -345,16 +332,15 @@ def _cmd_hopf_verify(args) -> tuple:
 
 
 def _cmd_hopf_fgl(args) -> tuple:
-    from .hopfdiff import (
+    from .hopfdiff.fgl import (
+        check_order,
         fgl_associativity_defect,
         fgl_commutative_ok,
         fgl_over_N,
         fgl_unit_ok,
     )
 
-    order = args.order
-    if order < 2:
-        raise InputError(f"order must be at least 2 to reach the coefficient of x·y, got {order}")
+    order = check_order(args.order, least=2)  # order 1 has no x·y coefficient
     f = fgl_over_N(order)
     xy = f.coeffs.get((1, 1))
     unit = fgl_unit_ok(order)
@@ -393,7 +379,9 @@ def _cmd_hopf_fgl(args) -> tuple:
 def _cmd_hopf_coaction(args) -> tuple:
     from .hopfdiff import mu_b_image, mu_log_image
 
-    degree = _generator_degree(args)
+    degree = args.degree
+    if degree < 1:  # mu_*_image(0) is 1, the image of the unit, not a generator's
+        raise InputError(f"generator degree must be >= 1, got {degree}")
     p = (mu_log_image if args.target == "log-generators" else mu_b_image)(degree)
     payload = {"target": args.target, "image": p.render()}
     return payload, [f"μ(t{degree}) = {p.render()}"]
@@ -463,17 +451,6 @@ def _mxi_json(cls) -> dict:
     }
 
 
-def _int_rows(data: dict, field: str) -> tuple:
-    """``data[field]`` as rows of ints; a bool, a string or a number with a
-    fractional part is refused, not truncated or parsed."""
-    rows = data[field]
-    for row in rows:
-        for v in row:
-            if not (type(v) is int or type(v) is float and v.is_integer()):
-                raise InputError(f"{field} entries must be integers, got {json.dumps(v)}")
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
 def _quasitoric_output(q) -> tuple[dict, list]:
     """The facets, lambda and base facet of quasitoric data: payload and text."""
     payload = {
@@ -492,21 +469,22 @@ def _load_quasitoric(path: str, flip: bool):
     from .torictop import QuasitoricData, SimplicialComplex
 
     data = _read_json(path)
+    # only the JSON's shape here: the entries are the library's to check
     try:
-        facets = _int_rows(data, "facets")
-        lam = _int_rows(data, "lambda")
-    except (KeyError, TypeError, ValueError) as exc:
+        facets, lam = tuple(data["facets"]), tuple(data["lambda"])
+        m = len(lam[0]) if lam else 0
+    except (KeyError, TypeError) as exc:
         raise InputError(f"quasitoric JSON needs facets and lambda: {exc}") from exc
-    m = len(lam[0]) if lam else 0
     return QuasitoricData(SimplicialComplex(m, facets), lam, orientation_flip=flip)
 
 
-def _offset(v) -> Fraction:
-    """A JSON offset as a rational: a float through its decimal text, so -4.1
-    reads as -41/10 and not as its binary value; a bool is refused."""
-    if isinstance(v, bool):
-        raise InputError(f"offsets must be numbers, got {json.dumps(v)}")
-    return Fraction(repr(v)) if isinstance(v, float) else Fraction(v)
+def _offset(v):
+    """A JSON offset for DelzantPolytope: a float through its decimal text, so
+    -4.1 reads as -41/10 and not as its binary value, text through Fraction,
+    and an int, or a bool the polytope refuses, as it is."""
+    if isinstance(v, float):
+        return Fraction(repr(v))
+    return v if isinstance(v, int) else Fraction(v)
 
 
 def _load_polytope(path: str):
@@ -514,7 +492,7 @@ def _load_polytope(path: str):
 
     data = _read_json(path)
     try:
-        normals = _int_rows(data, "normals")
+        normals = tuple(data["normals"])
         offsets = tuple(_offset(v) for v in data["offsets"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"polytope JSON needs normals and offsets: {exc}") from exc

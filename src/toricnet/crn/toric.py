@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from ..errors import InputError, InternalError, NotComplexBalanced, NotWeaklyReversible
 from ..exactcore import ff_determinant, hermite_normal_form, lattice_kernel, mat_mul, transpose
+from ..exactcore.polynomials import monomial_text
 from .network import _cayley, build_rate_matrix, linkage_classes, strong_components
 from .parser import Network
 from .trees import class_trees
@@ -36,12 +37,7 @@ class ToricBinomial:
 
 
 def _monomial_text(u: tuple[int, ...]) -> str:
-    bits = []
-    for i, e in enumerate(u):
-        if e == 0:
-            continue
-        bits.append(f"K{i + 1}" if e == 1 else f"K{i + 1}^{e}")
-    return "*".join(bits) if bits else "1"
+    return monomial_text((f"K{i + 1}", e) for i, e in enumerate(u) if e) or "1"
 
 
 def toric_binomials(net: Network) -> list[ToricBinomial]:

@@ -4,6 +4,9 @@ Two families matter to callers: InputError (malformed input, the CLI exits 1)
 and DomainRefusal (well-formed input outside an operation's mathematical
 domain, the CLI exits 2 and reports a structured refusal). InternalError
 flags a broken internal cross-check and always indicates a bug.
+
+The library raises InputError, also a ValueError, for every bad argument; a
+bare ValueError or TypeError marks misuse between modules, not bad input.
 """
 
 
@@ -11,7 +14,7 @@ class ToricnetError(Exception):
     pass
 
 
-class InputError(ToricnetError):
+class InputError(ToricnetError, ValueError):
     """Malformed or inconsistent user input."""
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..errors import InputError
 from ..exactcore import TruncSeries
 from ..hopfdiff import bfk_antipode
+from ..hopfdiff.fgl import check_order
 from ..ncsf import z_series
 
 
@@ -38,8 +38,7 @@ def nc_cumulant_series(order: int) -> NCCumulants:
     Memoised per order, like ``fgl_over_N``; an out-of-range order raises
     before any entry is stored.
     """
-    if order < 1 or order > 8:
-        raise InputError("order must be between 1 and 8")
+    check_order(order)
     # one extra order so shift_down still leaves x^order intact
     z = z_series(order + 1, "diffeo")
     raw = _flip_sign(z).map_coeffs(bfk_antipode)

@@ -16,6 +16,7 @@ from ..exactcore import TruncSeries
 from ..exactcore.terms import Terms, key_str
 from ..ncsf import NCF, psi_series
 from ..ncsf.nsym import _check_word, slotwise_add
+from .fgl import check_order
 
 
 def _check_beta_key(key) -> tuple:
@@ -73,8 +74,7 @@ def beta_deform(beta, order: int) -> TruncSeries:
     string "beta" for the formal parameter. Returns a grouplike-normalized
     series (constant term 1) over NCF or BetaNCF accordingly.
     """
-    if order < 1 or order > 8:
-        raise InputError("order must be between 1 and 8")
+    check_order(order)
     psi = psi_series(order)
     if isinstance(beta, str):
         if beta != "beta":

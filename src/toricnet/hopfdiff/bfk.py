@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
+from ..errors import InputError
 from ..exactcore.terms import algebra_map
 from ..ncsf import NCF, TensorNCF, abelianize_ncf, abelianize_tensor, z_series
 from ..ncsf.compositions import compositions
@@ -41,7 +42,7 @@ def _z_power_coeff(n: int, k: int) -> NCF:
 def bfk_coproduct_gen(m: int) -> TensorNCF:
     """Delta Z_m = sum_{n=1}^{m+1} Z_{n-1} (x) [T^(m+1)] Z(T)^n."""
     if m < 1:
-        raise ValueError("generators are Z_1, Z_2, ...")
+        raise InputError(f"generators are Z_1, Z_2, ..., got Z_{m}")
     return TensorNCF.sum(
         TensorNCF.pure(NCF.gen(n - 1), _z_power_coeff(n, m + 1)) for n in range(1, m + 2)
     )
@@ -60,7 +61,7 @@ def bfk_coproduct_word(w: tuple) -> TensorNCF:
 def bfk_antipode_gen(m: int) -> NCF:
     """chi(Z_m) by graded recursion over the reduced coproduct."""
     if m < 1:
-        raise ValueError("generators are Z_1, Z_2, ...")
+        raise InputError(f"generators are Z_1, Z_2, ..., got Z_{m}")
     # proper part: n = 2..m gives Z_{n-1} (x) (positive-weight right factor)
     return -NCF.sum(
         [NCF.gen(m)]
@@ -127,7 +128,7 @@ def bfk_generator_checks(m: int) -> tuple:
     """The Hopf axioms at Z_m as ((name, ok), ...): coassociativity, the left
     and right antipode convolutions, and the counit."""
     if m < 1:
-        raise ValueError("generators are Z_1, Z_2, ...")
+        raise InputError(f"generators are Z_1, Z_2, ..., got Z_{m}")
     gen = NCF.gen(m)
     return (
         (f"coassociativity Z[{m}]", not bfk_coassociativity_gap(gen)),

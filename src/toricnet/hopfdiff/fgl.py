@@ -23,12 +23,20 @@ from ..exactcore import SparsePoly, TruncSeries
 from ..ncsf import NCF, z_series
 from .ln import t_series
 
+ORDER_CAP = 8  # the largest order of fgl_over_N, beta_deform and nc_cumulant_series
+
+
+def check_order(order: int, least: int = 1) -> int:
+    """``order``, refused with InputError outside least..ORDER_CAP."""
+    if not least <= order <= ORDER_CAP:
+        raise InputError(f"order must be between {least} and {ORDER_CAP}, got {order}")
+    return order
+
 
 @lru_cache(maxsize=None)
 def fgl_over_N(order: int) -> TruncSeries:
     """The two-variable law over the free algebra, total degree <= order."""
-    if order < 1 or order > 8:
-        raise InputError("order must be between 1 and 8")
+    check_order(order)
     z = z_series(order, "diffeo")
     u = z.comp_inverse()
     inner = u.embed(2, [0]) + u.embed(2, [1])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ..errors import InputError
 from ..exactcore import SparsePoly, TruncSeries
 
 
@@ -36,7 +37,7 @@ def _prime_map(poly: SparsePoly, shift: int) -> SparsePoly:
 def ln_coproduct_gen(i: int) -> SparsePoly:
     """Delta t_i as a polynomial in t_* (left slot) and t_*' (right slot)."""
     if i < 1:
-        raise ValueError("generators are t_1, t_2, ...")
+        raise InputError(f"generators are t_1, t_2, ..., got t_{i}")
     outer = t_series(i + 1)
     inner = t_series(i + 1, primes=1)
     return outer.compose(inner).coeff(i + 1)
@@ -46,7 +47,7 @@ def ln_coproduct_gen(i: int) -> SparsePoly:
 def ln_antipode_gen(i: int) -> SparsePoly:
     """chi(t_i): the T^(i+1) coefficient of the compositional inverse."""
     if i < 1:
-        raise ValueError("generators are t_1, t_2, ...")
+        raise InputError(f"generators are t_1, t_2, ..., got t_{i}")
     return t_series(i + 1).comp_inverse().coeff(i + 1)
 
 
@@ -110,7 +111,7 @@ def ln_generator_checks(i: int) -> tuple:
     """The Hopf axioms at t_i as ((name, ok), ...): coassociativity, the left
     and right antipode convolutions, and the counit."""
     if i < 1:
-        raise ValueError("generators are t_1, t_2, ...")
+        raise InputError(f"generators are t_1, t_2, ..., got t_{i}")
     gen = SparsePoly.variable(f"t{i}")
     return (
         (f"coassociativity t{i}", ln_coassociativity_gap(i) == 0),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..errors import InputError
+
 
 @lru_cache(maxsize=None)
 def compositions(n: int) -> tuple[tuple[int, ...], ...]:
@@ -51,14 +53,14 @@ def to_partition(alpha: tuple[int, ...]) -> tuple[int, ...]:
 def check_composition(alpha) -> tuple[int, ...]:
     alpha = tuple(int(a) for a in alpha)
     if any(a < 1 for a in alpha):
-        raise ValueError(f"composition parts must be positive: {alpha}")
+        raise InputError(f"composition parts must be positive: {alpha}")
     return alpha
 
 
 def check_partition(lam) -> tuple[int, ...]:
     lam = tuple(int(a) for a in lam)
     if any(a < 1 for a in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
+        raise InputError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
+        raise InputError(f"partition parts must be weakly decreasing: {lam}")
     return lam

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
+from ..errors import InputError
 from ..exactcore import TruncSeries
 from ..exactcore.terms import Terms, algebra_map, key_str
 
@@ -26,7 +27,7 @@ Word = tuple  # tuple of positive ints
 def _check_word(w) -> Word:
     w = tuple(int(i) for i in w)
     if any(i < 1 for i in w):
-        raise ValueError(f"generator indices must be positive: {w}")
+        raise InputError(f"generator indices must be positive: {w}")
     return w
 
 

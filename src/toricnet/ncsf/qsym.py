@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from ..errors import InputError
 from ..exactcore import SparsePoly
 from ..exactcore.terms import Terms, key_str
 from .compositions import check_composition
@@ -72,7 +73,7 @@ def qsym_realize(alpha, k: int) -> SparsePoly:
     """M_alpha as a polynomial in x1..xk (0 when k < length of alpha)."""
     alpha = check_composition(alpha)
     if k < 0:
-        raise ValueError("variable count must be >= 0")
+        raise InputError(f"variable count must be >= 0, got {k}")
     return SparsePoly.sum(
         SparsePoly.monomial({f"x{pos + 1}": part for pos, part in zip(idx, alpha)})
         for idx in combinations(range(k), len(alpha))

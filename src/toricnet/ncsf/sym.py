@@ -40,7 +40,7 @@ class SymF(Terms):
 
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
+            raise InputError(f"unknown basis {basis!r}")
         object.__setattr__(self, "basis", basis)
         super().__init__(terms)
 
@@ -241,7 +241,7 @@ def schur_in_h(lam: tuple) -> SymF:
 
 def sym_convert(f: SymF, to: str) -> SymF:
     if to not in BASES:
-        raise ValueError(f"unknown basis {to!r}")
+        raise InputError(f"unknown basis {to!r}")
     if f.basis == to:
         return f
     if f.degree() > DEGREE_CAP:

@@ -35,6 +35,8 @@ class DelzantPolytope:
     def __post_init__(self):
         normals = integer_rows(self.normals, "normal")
         for x in self.offsets:
+            if isinstance(x, bool):  # equals 0 or 1, refused as integer_rows refuses it
+                raise InputError(f"offsets must be int or Fraction, got {x!r}")
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"offsets must be int or Fraction, got {x!r}")
         offsets = tuple(Fraction(x) for x in self.offsets)

@@ -413,7 +413,9 @@ class TestToric:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["kind"] == "InputError"
-        assert err["detail"].startswith(f"{field} entries must be integers")
+        # the library names one entry of the JSON field: a normal, a facet
+        entry = {"normals": "normal", "facets": "facet"}.get(field, field)
+        assert err["detail"].startswith(f"{entry} entries must be integers")
 
     @pytest.mark.parametrize("command", ["validate", "charnum"])
     def test_empty_facet_list_exit_1(self, run, tmp_path, command):
@@ -438,6 +440,16 @@ class TestToric:
         code, out = run("toric", "delzant", "--polytope", str(p))
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "InputError"
+
+    def test_true_offset_refused_by_the_polytope(self, run, tmp_path):
+        # the library's refusal, not wrapped as a JSON shape error
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps({"normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [True, 0, -4]}))
+        code, out = run("toric", "delzant", "--polytope", str(p))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "detail": "offsets must be int or Fraction, got True", "kind": "InputError"
+        }
 
     def test_integral_json_floats_read_as_integers(self, run, simplex_file, tmp_path):
         p = tmp_path / "floats.json"
@@ -555,6 +567,7 @@ BAD_INTEGER_ARGUMENTS = [
     ["hopf", "verify", "--algebra", "ln", "--max-weight", "-2"],
     ["hopf", "fgl", "--order", "1"],
     ["hopf", "fgl", "--order", "1", "--format", "json"],
+    ["hopf", "fgl", "--order", "9"],
 ]
 
 # --tol 0 on this complex-balanced bridge used to end in an InternalError on
@@ -579,6 +592,16 @@ def test_bad_integer_argument_exit_1(run, argv):
     code, out = run(*argv)
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+@pytest.mark.parametrize("order", ["1", "9"])
+def test_fgl_order_refusal_names_the_range(run, order):
+    # order 1 has no x·y coefficient, order 9 is past the series cap: one range
+    code, out = run("hopf", "fgl", "--order", order)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "detail": f"order must be between 2 and 8, got {order}", "kind": "InputError"
+    }
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_OR_NON_POSITIVE_ARGUMENTS, ids=" ".join)

@@ -362,6 +362,12 @@ class TestDelzant:
             DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), offset))
         assert DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (0, F(0), -4)).offsets[2] == -4
 
+    @pytest.mark.parametrize("offset", [True, False])
+    def test_bool_offset_refused(self, offset):
+        # a bool equals 1 or 0 but is no offset, as it is no normal entry
+        with pytest.raises(InputError, match=f"offsets must be int or Fraction, got {offset}"):
+            DelzantPolytope(((1, 0), (0, 1), (-1, -1)), (offset, 0, -4))
+
     # a bool equals 1 or 0 but is refused, not read as that integer
     @pytest.mark.parametrize("bad", ["x", None, float("nan"), float("inf"), (1,), True, False])
     def test_non_numeric_entries_refused(self, bad):
