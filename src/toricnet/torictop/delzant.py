@@ -1,15 +1,16 @@
 """Delzant polytopes {x : <a_i, x> >= lambda_i} and their quasitoric data.
 
-Boundedness and vertices are lattice questions, answered by integer
-kernels of row subsets: a recession ray is the one-line kernel of n-1
-normals with every normal on one side of it, and a vertex is the one-line
-kernel (X, w), w != 0, of n rows (a_i, -lambda_i) cleared to integers, with
-every row on its inner side, and x = X / w. The polytope must be
-bounded and simple. The dual boundary complex plus the normals-as-columns
-matrix is the quasitoric data; it is smooth when each facet minor (a
-vertex's normals) has |det| = 1 in the data's validation pass, and the
-Smith form of a failing minor names the refusal's divisors. The normalized
-symplectic class is sum(-lambda_i) v_i.
+Boundedness is a lattice question: a recession ray is the one-line integer
+kernel of n-1 normals with every normal on one side of it. A vertex solves n
+facet equations: of the rows (a_i, -lambda_i) cleared to integers, n rows
+(A | -lambda') with A nonsingular meet in x = X / w, where (X, w) =
+(adj(A) * lambda', det A) from one fraction-free elimination spans their
+kernel, and x is a vertex when every row lies on its inner side. The
+polytope must be bounded and simple. The dual boundary complex plus the
+normals-as-columns matrix is the quasitoric data; it is smooth when each
+facet minor (a vertex's normals) has |det| = 1 in the data's validation
+pass, and the Smith form of a failing minor names the refusal's divisors.
+The normalized symplectic class is sum(-lambda_i) v_i.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from ..errors import InputError, NonSmooth
-from ..exactcore import clear_denominators, lattice_kernel, smith_normal_form
+from ..exactcore import clear_denominators, cramer, lattice_kernel, smith_normal_form
 from .complexes import SimplicialComplex, integer_rows
 from .quasitoric import QuasitoricData
 
@@ -87,11 +88,12 @@ def polytope_vertices(p: DelzantPolytope) -> list[tuple]:
     rows, _ = clear_denominators([(*a, -lam) for a, lam in zip(p.normals, p.offsets)])
     found: dict = {}
     for subset in combinations(rows, n):
-        # n independent facets meet in x = X / w: the kernel (X, w)
-        kernel = lattice_kernel(subset)
-        if len(kernel) != 1 or kernel[0][n] == 0:
+        # n facets with independent normals A meet in x = X / w, where
+        # (X, w) = (adj(A) * lambda', det A) spans the kernel of the subset
+        w, adj = cramer([row[:n] for row in subset], [[-row[n]] for row in subset])
+        if w == 0:
             continue
-        v = kernel[0] if kernel[0][n] > 0 else [-c for c in kernel[0]]
+        v = [c for c, in adj] + [w] if w > 0 else [-c for c, in adj] + [-w]  # w > 0
         # row_i . (X, w) = s_i * w * (<a_i, x> - lambda_i), s_i > 0, so >= 0 on the inner side
         values = [sum(r * c for r, c in zip(row, v)) for row in rows]
         if any(value < 0 for value in values):

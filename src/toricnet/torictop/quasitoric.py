@@ -4,10 +4,10 @@ Classes of the face ring Z[K]/(non-face monomials + the linear forms from the
 rows of Lambda) are handled through their restrictions to the fixed points of
 the torus action (Davis-Januszkiewicz; Buchstaber-Panov, *Toric Topology*,
 ch. 7 and 9). Each facet sigma of K is a fixed point; its tangent weights
-w_{sigma,i}, i in sigma, are the rows of Lambda_sigma^{-1} (the transform of
-the Hermite normal form, which is I), read as linear forms in t, and v_i
-restricts there to w_{sigma,i} for i in sigma and to 0 otherwise. A class f
-is the list of its restrictions f(w_sigma), one per facet in the order of
+w_{sigma,i}, i in sigma, are the rows of Lambda_sigma^{-1} (det * adj from one
+fraction-free elimination), read as linear forms in t, and v_i restricts
+there to w_{sigma,i} for i in sigma and to 0 otherwise. A class f is the
+list of its restrictions f(w_sigma), one per facet in the order of
 ``EvalContext.basis``, and the fixed-point (localization) formula pairs a
 top-degree class with [M]:
 
@@ -35,7 +35,7 @@ from math import lcm, prod
 from operator import mul
 
 from ..errors import InputError, InternalError
-from ..exactcore import ff_determinant, hermite_normal_form
+from ..exactcore import cramer, ff_determinant, identity
 from .complexes import SimplicialComplex, ValidityReport, integer_rows, sphere_battery
 
 Monomial = tuple[int, ...]  # exponents, length m
@@ -101,12 +101,12 @@ class QuasitoricData:
         return validate_quasitoric(self.complex, self.lam)
 
 
-def _inverse_rows(lam, facet: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-    """det Lambda_F and the rows of Lambda_F^{-1}, one per vertex of F in order:
-    det = +-1 on a validated facet, so the Hermite normal form of Lambda_F is I
-    and its transform U, with U * Lambda_F = I, is Lambda_F^{-1}."""
-    _, inverse = hermite_normal_form([[lam[r][v - 1] for v in facet] for r in range(len(lam))])
-    return facet_determinant(lam, facet), inverse
+def _inverse_rows(lam, facet: tuple[int, ...]) -> tuple[int, list[list[int]] | None]:
+    """det Lambda_F and the rows of det * adj(Lambda_F), one per vertex of F in
+    order, from one ``cramer`` elimination: det = +-1 on a validated facet, so
+    the rows are Lambda_F^{-1}. A singular facet gives (0, None)."""
+    det, adj = cramer([[lam[r][v - 1] for v in facet] for r in range(len(lam))], identity(len(lam)))
+    return det, adj and [[det * x for x in row] for row in adj]
 
 
 def _generic_point(rows: list[list[int]]) -> list[int]:

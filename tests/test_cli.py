@@ -611,11 +611,12 @@ def test_non_finite_or_non_positive_number_exit_1(run, argv):
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 
-def test_infinite_t_end_is_refused():
-    # in a subprocess: an integrator that accepts t_end = inf never ends
+def _simulate_to(t_end: str) -> dict:
+    """The JSON output of ``crn simulate`` to ``t_end``, which must exit 1. It
+    runs in a subprocess: an integrator that accepts such a t_end never ends."""
     proc = _python(
         "-m", "toricnet.cli", "crn", "simulate", "A <-> B : 1, 1",
-        "--c0", "1,0", "--t-end", "inf", "--record-every", "1000000",
+        "--c0", "1,0", "--t-end", t_end, "--record-every", "1000000",
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
@@ -623,9 +624,20 @@ def test_infinite_t_end_is_refused():
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
-        pytest.fail("crn simulate --t-end inf did not end")
+        pytest.fail(f"crn simulate --t-end {t_end} did not end")
     assert proc.returncode == 1
-    assert json.loads(out)["error"]["kind"] == "InputError"
+    return json.loads(out)
+
+
+def test_infinite_t_end_is_refused():
+    assert _simulate_to("inf")["error"]["kind"] == "InputError"
+
+
+def test_huge_t_end_is_refused():
+    # past t = 2^53 * dt, t += dt no longer moves t
+    assert _simulate_to("1e308")["error"] == {
+        "kind": "InputError", "detail": "t_end / dt = inf exceeds the step cap 1000000"
+    }
 
 
 class TestParserReuse:

@@ -10,8 +10,8 @@ when the exit code is not 0.
 
 Each call runs under a timer. A call that outlives it is counted, not
 failed: some sizes have no cap (``hopf antipode --degree 1000``, ``hopf
-verify --algebra ln --max-weight 30``, ``crn simulate --t-end 1e308``), and
-the pool leaves them out only to keep the walk within its budget.
+verify --algebra ln --max-weight 30``), and the pool leaves them out only to
+keep the walk within its budget.
 """
 
 import argparse
@@ -46,8 +46,9 @@ NETWORKS = [
     "->",
 ]
 INTS = ["-1", "0", "1", "2", "3", "5", "8", "9"]
-# at most 100 steps for crn simulate: t_end / dt has no cap either
-FLOATS = ["-1", "0", "0.01", "0.5", "1", "nan", "inf", "-inf"]
+# crn simulate refuses more than a million steps (t_end / dt), so 1e308 is
+# refused at once and every accepted run takes at most 100 steps
+FLOATS = ["-1", "0", "0.01", "0.5", "1", "1e308", "nan", "inf", "-inf"]
 # never "-": it reads stdin
 TEXTS = [
     "", " ", ",", "x", "0", "1", "-1", "1/2", "1/0", "nan", "1,,2", "0,1", "1,2",

@@ -157,12 +157,12 @@ def test_cold_polytope_charnum_makes_no_rational_elimination(capsys, monkeypatch
 @pytest.mark.parametrize(
     "args, expected, golden",
     [
-        (["charnum", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 4), None),
-        (["delzant", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0), None),
-        (["charnum", "--quasitoric", "cp2xcp2_twisted.json"], (1, 1, 1, 9, 0, 2), None),
+        (["charnum", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0, 4), None),
+        (["delzant", "--polytope", "cube_cut.json"], (1, 1, 1, 10, 0, 0, 0), None),
+        (["charnum", "--quasitoric", "cp2xcp2_twisted.json"], (1, 1, 1, 9, 0, 0, 2), None),
         (
             ["charnum", "--orientation-flip", "--format", "json", "--polytope", "cube_cut.json"],
-            (1, 1, 1, 10, 0, 4),
+            (1, 1, 1, 10, 0, 0, 4),
             "toric_charnum_cube_cut_flip",
         ),
     ],
@@ -171,12 +171,14 @@ def test_cold_polytope_charnum_makes_no_rational_elimination(capsys, monkeypatch
 def test_cold_toric_request_decides_each_facet_once(args, expected, golden, capsys, monkeypatch):
     """One validation pass per QuasitoricData: the Delzant check and the
     evaluation context share it, so does the orientation-flipped copy of
-    Delzant data, each facet determinant is taken once, a Smith form is left
-    to refusals, and each builder reuses its context."""
+    Delzant data, each facet is eliminated once (its determinant comes with
+    its inverse, so ``facet_determinant`` is never called), a Smith form is
+    left to refusals, and each builder reuses its context."""
     functions = [
         quasitoric.validate_quasitoric,
         complexes.sphere_battery,
         complexes.orientation_signs,
+        quasitoric._inverse_rows,
         quasitoric.facet_determinant,
         matrices.smith_normal_form,
         quasitoric.eval_context,

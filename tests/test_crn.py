@@ -887,6 +887,15 @@ class TestSimulate:
         with pytest.raises(InputError):
             simulate(net, None, [1.0, 1.0, 1.0], t_end=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("t_end, dt", [(1000001.0, 1.0), (1.0, 9e-7)])
+    def test_step_count_beyond_the_cap_refused(self, t_end, dt):
+        # refused before any step; these runs would end without the cap, but
+        # past t = 2^53 * dt one never would (tests/test_cli.py runs that one
+        # in a subprocess)
+        net = parse_network(TRIANGLE)
+        with pytest.raises(InputError, match="exceeds the step cap 1000000"):
+            simulate(net, None, [1.0, 1.0, 1.0], t_end=t_end, dt=dt)
+
     def test_conservation_laws(self):
         laws = conservation_laws(parse_network(TRIANGLE))
         assert laws == [[Fraction(1), Fraction(1), Fraction(1)]]

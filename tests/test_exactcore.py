@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -12,6 +13,7 @@ from toricnet.exactcore import (
     QRing,
     SparsePoly,
     TruncSeries,
+    cramer,
     ff_determinant,
     hermite_normal_form,
     identity,
@@ -711,6 +713,8 @@ def test_rational_lattice_kernel_spans_sympy_nullspace():
     "eliminate",
     [
         ff_determinant,
+        cramer,
+        hermite_normal_form,
         rank,
         lattice_kernel,
         rational_rref,
@@ -730,3 +734,106 @@ def test_float_matrix_entries_raise(eliminate, a):
 def test_float_right_hand_side_raises():
     with pytest.raises(TypeError):
         solve_rational([[1, 0], [0, 1]], [1, 0.5])
+
+
+@pytest.mark.parametrize("eliminate", [cramer, hermite_normal_form], ids=lambda f: f.__name__)
+def test_integer_eliminations_check_entries_alike(eliminate):
+    with pytest.raises(ValueError):
+        eliminate([[1, Fraction(3, 2)], [0, 1]])
+    with pytest.raises(TypeError):
+        eliminate([[1, "2"], [0, 1]])
+    assert eliminate([[1, Fraction(4, 2)], [0, 1]]) == eliminate([[1, 2], [0, 1]])
+
+
+# ---------------------------------------------------------------- cramer against sympy and cofactors
+
+
+def _cramer_cases(count=280):
+    """Seeded (A, B): A square of size 1..7 with entries in [-5, 5], B with as
+    many rows and 0..3 columns. Every third A is singular: a row is zero (always
+    below 3x3) or the sum of two others."""
+    rng = random.Random(28)
+    cases = []
+    for i in range(count):
+        n = i % 7 + 1
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if i % 3 == 0:
+            r = rng.randrange(n)
+            if n < 3:
+                a[r] = [0] * n
+            else:
+                j, k = rng.sample([s for s in range(n) if s != r], 2)
+                a[r] = [x + y for x, y in zip(a[j], a[k])]
+        width = rng.randint(0, 3)
+        b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)] if width else []
+        cases.append((a, b))
+    return cases
+
+
+CRAMER_CASES = _cramer_cases()
+
+
+def _domain_matrix(a):
+    return DomainMatrix([[ZZ(x) for x in row] for row in a], (len(a), len(a[0]) if a else 0), ZZ)
+
+
+def test_cramer_cases_cover_sizes_widths_and_singular_matrices():
+    assert {len(a) for a, _ in CRAMER_CASES} == set(range(1, 8))
+    assert {len(b[0]) if b else 0 for _, b in CRAMER_CASES} == {0, 1, 2, 3}
+    singular = [a for a, _ in CRAMER_CASES if _domain_matrix(a).det() == 0]
+    assert len(singular) >= len(CRAMER_CASES) // 3
+
+
+def test_cramer_matches_sympy_det_and_adjugate():
+    for a, b in CRAMER_CASES:
+        matrix = _domain_matrix(a)
+        det, adj_b = cramer(a, b)
+        assert det == matrix.det(), a
+        if det == 0:
+            assert adj_b is None, a
+        elif b:
+            assert adj_b == (matrix.adjugate() * _domain_matrix(b)).to_list(), (a, b)
+        else:
+            assert adj_b == [[]] * len(a), a
+
+
+def test_cramer_of_the_empty_matrix():
+    assert cramer([]) == (1, [])
+    assert cramer([], []) == (1, [])
+
+
+def test_cramer_leaves_its_inputs_alone():
+    a, b = [[0, 2], [3, 4]], [[1], [5]]
+    assert cramer(a, b) == (-6, [[-6], [-3]])
+    assert (a, b) == ([[0, 2], [3, 4]], [[1], [5]])
+
+
+def _cofactor_adjugate(g):
+    """adj(G) from its cofactors, each minor's determinant taken by sympy."""
+    r = len(g)
+    return [
+        [
+            (-1) ** (i + j)
+            * int(_domain_matrix([row[:i] + row[i + 1 :] for k, row in enumerate(g) if k != j]).det())
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+
+
+def test_cramer_gives_the_cofactor_adjugate_of_gram_matrices():
+    # the Gram matrices G = B B^T of integer row bases, as the Birch point
+    # solves them: cramer(G, I) is adj(G), and cramer(G, B) is adj(G) B
+    rng = random.Random(9)
+    checked = 0
+    while checked < 150:
+        r = rng.randint(1, 6)
+        width = r + rng.randint(0, 3)
+        basis = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(r)]
+        gram = mat_mul(basis, transpose(basis))
+        if _domain_matrix(gram).det() == 0:
+            continue
+        det, adj = cramer(gram, identity(r))
+        assert adj == _cofactor_adjugate(gram), gram
+        assert cramer(gram, basis) == (det, mat_mul(adj, basis)), gram
+        checked += 1

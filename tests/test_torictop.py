@@ -21,6 +21,7 @@ from toricnet.errors import (
     NonSmooth,
     NotWeaklyReversible,
 )
+from toricnet.exactcore import clear_denominators, lattice_kernel
 from toricnet.ncsf import QSF, partitions, qsym_product
 from toricnet.render import render_ncf
 from toricnet.torictop import (
@@ -529,6 +530,64 @@ def test_polytope_vertices_match_the_oracle():
         if want[1] != "polytope is unbounded":
             got = polytope_vertices(DelzantPolytope(normals, offsets))
             assert got == _oracle_vertices(normals, offsets), (normals, offsets)
+
+
+def _kernel_polyhedra(count=1000):
+    """Seeded polyhedra of dimension 1..4 with n to n + 4 primitive normals,
+    entries in [-2, 2], bounded or not. Offsets are ints or Fractions; a
+    quarter of the cases repeat a normal, and a quarter put every facet
+    through the origin, so that many vertices are degenerate."""
+    rng = random.Random(28)
+    cases = []
+    for i in range(count):
+        n = rng.randint(1, 4)
+        size = rng.randint(n, n + 4)
+        normals = []
+        while len(normals) < size:
+            a = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(a) and gcd(*(abs(x) for x in a)) == 1:
+                normals.append(a)
+        if i % 4 == 1:
+            normals.append(rng.choice(normals))
+        if i % 4 == 2:
+            offsets = [0] * len(normals)
+        else:
+            offsets = [
+                rng.randint(-3, 1) if rng.random() < 0.5 else F(rng.randint(-7, 2), rng.randint(1, 4))
+                for _ in normals
+            ]
+        cases.append((tuple(normals), tuple(offsets)))
+    return cases
+
+
+def _kernel_vertices(p):
+    """The vertices as the one-line integer kernels (X, w), w != 0, of the
+    n-subsets of the cleared rows (a_i, -lambda_i), x = X / w."""
+    n = p.dim
+    rows, _ = clear_denominators([(*a, -lam) for a, lam in zip(p.normals, p.offsets)])
+    found = {}
+    for subset in combinations(rows, n):
+        kernel = lattice_kernel(subset)
+        if len(kernel) != 1 or kernel[0][n] == 0:
+            continue
+        v = kernel[0] if kernel[0][n] > 0 else [-c for c in kernel[0]]
+        values = [sum(r * c for r, c in zip(row, v)) for row in rows]
+        if any(value < 0 for value in values):
+            continue
+        x = tuple(F(c, v[n]) for c in v[:n])
+        found[x] = tuple(i for i, value in enumerate(values) if value == 0)
+    return sorted(found.items())
+
+
+def test_polytope_vertices_match_the_integer_kernels():
+    kinds = Counter()
+    for normals, offsets in _kernel_polyhedra():
+        p = DelzantPolytope(normals, offsets)
+        want = _kernel_vertices(p)
+        assert polytope_vertices(p) == want, (normals, offsets)
+        kinds[p.dim, any(len(active) > p.dim for _, active in want)] += 1
+    # every dimension, with and without a degenerate vertex
+    assert all(kinds[n, degenerate] >= 20 for n in range(1, 5) for degenerate in (False, True))
 
 
 class TestBridge:
