@@ -16,7 +16,10 @@ which adds that option.
 The argparse tree is built once per process, on the first ``main`` call, and
 reused by every later call: each ``parse_args`` returns a fresh namespace, no
 option appends to a shared default, and a usage error raises before any
-state is kept. Importing the module builds nothing.
+state is kept. Importing the module builds nothing. Each request is parsed
+once, by its command's own parser, which ``build_parser`` keeps in a
+(group, command) table; the whole tree serves help and unknown or missing
+commands, so every usage and refusal text comes from the same parsers.
 """
 
 from __future__ import annotations
@@ -292,27 +295,33 @@ def _cmd_sym_pair(args) -> tuple:
 
 
 def _cmd_hopf_coproduct(args) -> tuple:
+    from .hopfdiff.sizes import check_degree
+
+    degree = check_degree(args.degree)
     if args.algebra == "bfk":
         from .hopfdiff import bfk_coproduct_gen
 
-        t = bfk_coproduct_gen(args.degree)
-        return {"coproduct": tensor_json(t)}, [f"Δ(Z[{args.degree}]) = {render_tensor(t)}"]
+        t = bfk_coproduct_gen(degree)
+        return {"coproduct": tensor_json(t)}, [f"Δ(Z[{degree}]) = {render_tensor(t)}"]
     from .hopfdiff import ln_coproduct_gen
 
-    p = ln_coproduct_gen(args.degree)
-    return {"coproduct": p.render()}, [f"Δ(t{args.degree}) = {p.render()}"]
+    p = ln_coproduct_gen(degree)
+    return {"coproduct": p.render()}, [f"Δ(t{degree}) = {p.render()}"]
 
 
 def _cmd_hopf_antipode(args) -> tuple:
+    from .hopfdiff.sizes import check_degree
+
+    degree = check_degree(args.degree)
     if args.algebra == "bfk":
         from .hopfdiff import bfk_antipode_gen
 
-        x = bfk_antipode_gen(args.degree)
-        return {"antipode": ncf_json(x)}, [f"χ(Z[{args.degree}]) = {render_ncf(x)}"]
+        x = bfk_antipode_gen(degree)
+        return {"antipode": ncf_json(x)}, [f"χ(Z[{degree}]) = {render_ncf(x)}"]
     from .hopfdiff import ln_antipode_gen
 
-    p = ln_antipode_gen(args.degree)
-    return {"antipode": p.render()}, [f"χ(t{args.degree}) = {p.render()}"]
+    p = ln_antipode_gen(degree)
+    return {"antipode": p.render()}, [f"χ(t{degree}) = {p.render()}"]
 
 
 def _hopf_checks(algebra: str, max_weight: int) -> list:
@@ -323,9 +332,9 @@ def _hopf_checks(algebra: str, max_weight: int) -> list:
 
 
 def _cmd_hopf_verify(args) -> tuple:
-    if args.max_weight < 1:
-        raise InputError(f"max weight must be >= 1, got {args.max_weight}")
-    checks = _hopf_checks(args.algebra, args.max_weight)
+    from .hopfdiff.sizes import check_max_weight
+
+    checks = _hopf_checks(args.algebra, check_max_weight(args.max_weight))
     payload = {"algebra": args.algebra, "checks": [{"name": n, "ok": ok} for n, ok in checks]}
     lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
     return payload, lines, 0 if all(ok for _, ok in checks) else 1
@@ -333,12 +342,12 @@ def _cmd_hopf_verify(args) -> tuple:
 
 def _cmd_hopf_fgl(args) -> tuple:
     from .hopfdiff.fgl import (
-        check_order,
         fgl_associativity_defect,
         fgl_commutative_ok,
         fgl_over_N,
         fgl_unit_ok,
     )
+    from .hopfdiff.sizes import check_order
 
     order = check_order(args.order, least=2)  # order 1 has no x·y coefficient
     f = fgl_over_N(order)
@@ -378,10 +387,9 @@ def _cmd_hopf_fgl(args) -> tuple:
 
 def _cmd_hopf_coaction(args) -> tuple:
     from .hopfdiff import mu_b_image, mu_log_image
+    from .hopfdiff.sizes import check_coaction_degree
 
-    degree = args.degree
-    if degree < 1:  # mu_*_image(0) is 1, the image of the unit, not a generator's
-        raise InputError(f"generator degree must be >= 1, got {degree}")
+    degree = check_coaction_degree(args.degree)
     p = (mu_log_image if args.target == "log-generators" else mu_b_image)(degree)
     payload = {"target": args.target, "image": p.render()}
     return payload, [f"μ(t{degree}) = {p.render()}"]
@@ -579,8 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     root = _Parser(prog="toricnet", description=__doc__.splitlines()[0])
     groups = root.add_subparsers(dest="group", required=True)
 
+    subs = {}  # group name -> its subparsers action
+
     def group(name: str, about: str):
-        return groups.add_parser(name, help=about).add_subparsers(dest="cmd", required=True)
+        subs[name] = groups.add_parser(name, help=about).add_subparsers(dest="cmd", required=True)
+        return subs[name]
 
     crn = group("crn", "reaction network analyses")
     for name, fn in (
@@ -673,7 +684,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(toric, "delzant", _cmd_toric_delzant)
     p.add_argument("--polytope", required=True)
 
+    # (group, command) -> the command's own parser, for main's direct route
+    root.commands = {(g, c): leaf for g, sub in subs.items() for c, leaf in sub.choices.items()}
     return root
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``argv``. A known (group, command) pair goes straight
+    to its command's parser, as the root and group levels would pass it the
+    rest of ``argv`` unchanged; help, a missing or unknown command and an
+    option before the group go through the whole tree."""
+    if argv is None:
+        argv = sys.argv[1:]
+    leaf = _PARSER.commands.get(tuple(argv[:2]))
+    if leaf is None:
+        return _PARSER.parse_args(argv)
+    # group and cmd first, in the order the tree's namespace has them
+    return leaf.parse_args(argv[2:], argparse.Namespace(group=argv[0], cmd=argv[1]))
 
 
 def main(argv=None) -> int:
@@ -681,7 +708,7 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         payload, lines, *code = args.fn(args)
         _emit(payload, lines, args.format)
         sys.stdout.flush()

@@ -70,6 +70,12 @@ def cramer(a: Matrix, b: Matrix = ()) -> tuple[int, Matrix | None]:
     if n != ncols or (b and dims(b)[0] != n):
         raise ValueError("cramer needs a square matrix and a right side with as many rows")
     M = _integer_matrix([[*row, *extra] for row, extra in zip(a, b)] if b else a)
+    return _bareiss(M, n, full=bool(b))
+
+
+def _bareiss(M: Matrix, n: int, full: bool) -> tuple[int, Matrix | None]:
+    """``cramer``'s elimination of M = [A | B], an integer copy it reduces in
+    place; ``full`` clears the rows above each pivot too."""
     sign = prev = 1
     for k in range(n):
         if M[k][k] == 0:
@@ -80,7 +86,7 @@ def cramer(a: Matrix, b: Matrix = ()) -> tuple[int, Matrix | None]:
             sign = -sign
         top = M[k]
         p = top[k]
-        for row in M[:k] + M[k + 1 :] if b else M[k + 1 :]:
+        for row in M[:k] + M[k + 1 :] if full else M[k + 1 :]:
             f = row[k]
             for j in range(k + 1, len(top)):
                 # Bareiss guarantees exact divisibility by the previous pivot
@@ -92,8 +98,9 @@ def cramer(a: Matrix, b: Matrix = ()) -> tuple[int, Matrix | None]:
 def ff_determinant(a: Matrix):
     """Exact determinant: an int when integral, otherwise a Fraction.
 
-    Ints and Fractions are cleared to integers for one ``cramer`` elimination,
-    the product of the row scales divided out at the end; polynomial entries
+    Ints and Fractions are cleared to integers once, then reduced in place
+    by ``cramer``'s Bareiss loop, the product of the row scales divided out
+    at the end; polynomial entries
     use cofactor expansion memoized over column subsets (supported up to
     size 6, which the callers respect).
     """
@@ -103,7 +110,7 @@ def ff_determinant(a: Matrix):
     if any(isinstance(x, SparsePoly) for row in a for x in row):
         return _det_cofactor(a)
     rows, scale = clear_denominators(a)
-    det = cramer(rows)[0]
+    det = _bareiss(rows, n, full=False)[0]
     q, r = divmod(det, scale)
     return q if r == 0 else Fraction(det, scale)
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from ..exactcore import TruncSeries
 from ..hopfdiff import bfk_antipode
-from ..hopfdiff.fgl import check_order
+from ..hopfdiff.sizes import check_order
 from ..ncsf import z_series
 
 

@@ -16,7 +16,7 @@ from ..exactcore import TruncSeries
 from ..exactcore.terms import Terms, key_str
 from ..ncsf import NCF, psi_series
 from ..ncsf.nsym import _check_word, slotwise_add
-from .fgl import check_order
+from .sizes import check_order
 
 
 def _check_beta_key(key) -> tuple:

@@ -18,19 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from ..errors import InputError
 from ..exactcore import SparsePoly, TruncSeries
 from ..ncsf import NCF, z_series
 from .ln import t_series
-
-ORDER_CAP = 8  # the largest order of fgl_over_N, beta_deform and nc_cumulant_series
-
-
-def check_order(order: int, least: int = 1) -> int:
-    """``order``, refused with InputError outside least..ORDER_CAP."""
-    if not least <= order <= ORDER_CAP:
-        raise InputError(f"order must be between {least} and {ORDER_CAP}, got {order}")
-    return order
+from .sizes import check_order
 
 
 @lru_cache(maxsize=None)

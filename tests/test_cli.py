@@ -1,4 +1,6 @@
+import argparse
 import ast
+import contextlib
 import io
 import itertools
 import json
@@ -9,8 +11,10 @@ import sys
 
 import pytest
 
+from test_cli_fuzz import CALLS_PER_SEED, FILES, SEEDS, fuzz_argvs
 from toricnet import cli, freeprob, hopfdiff
 from toricnet.cli import main
+from toricnet.errors import InputError
 
 TRIANGLE = "A -> B : 1\nB -> C : 1\nC -> A : 1\n"
 BRIDGE = "2A <-> A + B : k1, k2\nA + B <-> 2B : k3, k4\n"
@@ -568,6 +572,14 @@ BAD_INTEGER_ARGUMENTS = [
     ["hopf", "fgl", "--order", "1"],
     ["hopf", "fgl", "--order", "1", "--format", "json"],
     ["hopf", "fgl", "--order", "9"],
+    ["hopf", "coproduct", "--algebra", "bfk", "--degree", "17"],
+    ["hopf", "coproduct", "--algebra", "ln", "--degree", "1000"],
+    ["hopf", "antipode", "--algebra", "bfk", "--degree", "1000"],
+    ["hopf", "antipode", "--algebra", "ln", "--degree", "17"],
+    ["hopf", "verify", "--algebra", "bfk", "--max-weight", "13"],
+    ["hopf", "verify", "--algebra", "ln", "--max-weight", "1000"],
+    ["hopf", "coaction", "--target", "b-series", "--degree", "25"],
+    ["hopf", "coaction", "--target", "log-generators", "--degree", "1000"],
 ]
 
 # --tol 0 on this complex-balanced bridge used to end in an InternalError on
@@ -602,6 +614,25 @@ def test_fgl_order_refusal_names_the_range(run, order):
     assert json.loads(out)["error"] == {
         "detail": f"order must be between 2 and 8, got {order}", "kind": "InputError"
     }
+
+
+# each Hopf size has one range: (argv without the size, its name, the cap)
+HOPF_SIZES = [
+    (["hopf", "coproduct", "--algebra", "bfk", "--degree"], "degree", 16),
+    (["hopf", "antipode", "--algebra", "ln", "--degree"], "degree", 16),
+    (["hopf", "verify", "--algebra", "bfk", "--max-weight"], "max weight", 12),
+    (["hopf", "coaction", "--target", "b-series", "--degree"], "degree", 24),
+]
+
+
+@pytest.mark.parametrize("argv, word, cap", HOPF_SIZES, ids=[argv[1] for argv, _, _ in HOPF_SIZES])
+def test_hopf_size_refusal_names_the_range(run, argv, word, cap):
+    for size in (0, cap + 1, 1000):
+        code, out = run(*argv, str(size))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "detail": f"{word} must be between 1 and {cap}, got {size}", "kind": "InputError"
+        }
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_OR_NON_POSITIVE_ARGUMENTS, ids=" ".join)
@@ -700,3 +731,80 @@ class TestParserReuse:
             assert got[0] == code, argv
             assert got[1], argv
         assert len(builds) <= 1
+
+
+class TestDirectParse:
+    """main parses a known command with that command's own parser, and the
+    result is always the one the whole argparse tree gives."""
+
+    HAND = [
+        [],
+        ["--help"],
+        ["crn"],
+        ["crn", "nope"],
+        ["crn", "trees"],
+        ["crn", "trees", "--help"],
+        ["crn", "-h", "trees"],
+        ["--format", "json", "crn", "trees", "X"],
+        ["crn", "trees", "--", "-A"],
+        ["hopf", "fgl", "--ord", "5"],
+        ["crn", "trees", "X", "--no-such-flag"],
+    ]
+
+    @staticmethod
+    def _fuzz_argvs():
+        # parsing opens no file, so the names need not exist
+        return [argv for seed in SEEDS for argv in fuzz_argvs(seed, CALLS_PER_SEED, list(FILES))]
+
+    @staticmethod
+    def _outcome(parse, argv):
+        """The namespace's repr (a nan option is not equal to itself), the
+        InputError text, or the help text with its exit code."""
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                return repr(parse(list(argv)))
+        except InputError as exc:
+            return "InputError", str(exc)
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+    @staticmethod
+    def _leaves(parser, prefix=()):
+        """(group, command) -> parser of every leaf of the tree."""
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {prefix: parser}
+        return {
+            key: leaf
+            for name, sub in subs[0].choices.items()
+            for key, leaf in TestDirectParse._leaves(sub, prefix + (name,)).items()
+        }
+
+    def test_table_holds_exactly_the_tree_commands(self):
+        root = cli.build_parser()
+        assert root.commands == self._leaves(root)
+
+    def test_every_argv_parses_as_the_whole_tree_does(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        tree = cli.build_parser()
+        argvs = self.HAND + self._fuzz_argvs()
+        outcomes = [self._outcome(cli._parse, argv) for argv in argvs]
+        for argv, got in zip(argvs, outcomes):
+            assert got == self._outcome(tree.parse_args, argv), argv
+        # all three outcomes are among those compared
+        assert {type(o) for o in outcomes} == {str, tuple}
+        assert {o[0] for o in outcomes if isinstance(o, tuple)} == {"InputError", 0}
+
+    def test_known_command_never_reaches_the_root(self, monkeypatch, run):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the root parser was asked")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        for argv in self._fuzz_argvs():
+            self._outcome(cli._parse, argv)
+        assert run("hopf", "fgl", "--order", "4")[0] == 0
+        with pytest.raises(AssertionError):
+            main(["--help"])

@@ -9,9 +9,7 @@ object, and it is an ``{"error": {"kind", "detail", ...}}`` object exactly
 when the exit code is not 0.
 
 Each call runs under a timer. A call that outlives it is counted, not
-failed: some sizes have no cap (``hopf antipode --degree 1000``, ``hopf
-verify --algebra ln --max-weight 30``), and the pool leaves them out only to
-keep the walk within its budget.
+failed.
 """
 
 import argparse

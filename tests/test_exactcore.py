@@ -693,6 +693,25 @@ def test_rational_determinant_matches_sympy():
         assert type(got) is (int if want.q == 1 else Fraction), a
 
 
+def test_determinant_clears_its_rows_once(monkeypatch):
+    # the cleared rows go straight to the elimination, not through cramer's
+    # own copy and check a second time
+    from toricnet.exactcore import matrices
+
+    calls = []
+    real = matrices.clear_denominators
+
+    def counting(a):
+        calls.append(None)
+        return real(a)
+
+    monkeypatch.setattr(matrices, "clear_denominators", counting)
+    for a in RATIONAL_CASES:
+        calls.clear()
+        ff_determinant(a)
+        assert len(calls) == 1, a
+
+
 def test_rational_rank_matches_sympy():
     for a in RATIONAL_CASES:
         assert rank(a) == _sympy_matrix(a).rank(), a
